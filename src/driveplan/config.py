@@ -4,11 +4,14 @@ One flat structure holds every tunable constant across the stack; a config
 file (JSON) is the single source of truth — environment variables are
 deliberately ignored. Variants rewrite only their documented fields, and
 the rewritten fields are reported so traces can prove ablation containment.
+Every field is type- and range-checked on construction, so a bad config
+file fails with ConfigError naming the field.
 """
 from __future__ import annotations
 
 import json
-from dataclasses import asdict, dataclass, field, fields, replace
+import math
+from dataclasses import asdict, dataclass, fields, replace
 
 from .inference import FilterConfig
 from .observation import ObservationNoise
@@ -19,6 +22,55 @@ VARIANTS = ("full", "wo_unc", "wo_is", "h4")
 
 class ConfigError(Exception):
     pass
+
+
+#: allowed range per numeric field, as (low, high, low_inclusive); a field
+#: not listed here only has to have the right type
+_RANGES = {
+    "n_particles": (1, math.inf, True),
+    "ess_frac": (0.0, 1.0, True),
+    "theta_jitter_frac": (0.0, math.inf, True),
+    "lik_floor": (0.0, math.inf, True),
+    "intent_floor": (0.0, 1.0, True),
+    "noise_pos": (0.0, math.inf, False),
+    "noise_heading": (0.0, math.inf, False),
+    "noise_speed": (0.0, math.inf, False),
+    "k_scenarios": (1, math.inf, True),
+    "horizon_s": (0.0, math.inf, False),
+    "max_expansions": (0, math.inf, True),
+    "max_ms": (0.0, math.inf, False),
+    "n_is": (1, math.inf, True),
+    "lambda_mix": (0.0, 1.0, True),
+    "w_coll": (0.0, math.inf, True),
+    "w_eff": (0.0, math.inf, True),
+    "w_goal": (0.0, math.inf, True),
+    "k_goal": (0.0, math.inf, True),
+    "w_lc": (0.0, math.inf, True),
+    "v_des_ego": (0.0, math.inf, True),
+    "gamma": (0.0, 1.0, True),
+}
+
+
+def _check_field(name: str, kind: str, value) -> None:
+    """Raise ConfigError unless value has the field's type and range."""
+    if kind == "float | None" and value is None:
+        return
+    if kind == "str":
+        ok = isinstance(value, str)
+    elif isinstance(value, bool):
+        ok = False
+    elif kind == "int":
+        ok = isinstance(value, int)
+    else:
+        ok = isinstance(value, (int, float)) and math.isfinite(value)
+    if not ok:
+        raise ConfigError(f"{name}: expected {kind}, got {value!r}")
+    if name in _RANGES:
+        lo, hi, lo_inclusive = _RANGES[name]
+        if not ((lo <= value if lo_inclusive else lo < value) and value <= hi):
+            left = "[" if lo_inclusive else "("
+            right = ")" if math.isinf(hi) else "]"
+            raise ConfigError(f"{name}: {value!r} outside {left}{lo}, {hi}{right}")
 
 
 @dataclass(frozen=True)
@@ -39,7 +91,6 @@ class Config:
     horizon_s: float = 9.0
     max_expansions: int = 3
     max_ms: float | None = None
-    lambda_reg: float = 0.0
     # trajectory refinement
     n_is: int = 30
     lambda_mix: float = 0.5
@@ -51,6 +102,10 @@ class Config:
     w_lc: float = 0.3
     v_des_ego: float = 10.0
     gamma: float = 0.98
+
+    def __post_init__(self):
+        for f in fields(self):
+            _check_field(f.name, f.type, getattr(self, f.name))
 
     def resolved(self) -> tuple["Config", dict]:
         """Apply the variant's documented overrides; returns (config, diff)."""
@@ -95,6 +150,8 @@ class Config:
 
     @classmethod
     def from_dict(cls, data: dict) -> "Config":
+        if not isinstance(data, dict):
+            raise ConfigError(f"config: expected a JSON object, got {type(data).__name__}")
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:

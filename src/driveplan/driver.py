@@ -2,9 +2,8 @@
 
 Two behaviors cover urban driving here: lane / lane-connector following
 (LF) and lane changes to either side (LC-L / LC-R). Longitudinal control
-is IDM, lateral control is pure pursuit on a reference lane polyline, and
-MOBIL provides the classic gap-acceptance decision rule. The same models
-serve as exo-agent hypotheses and as ego macro-actions.
+is IDM and lateral control is pure pursuit on a reference lane polyline.
+The same models serve as exo-agent hypotheses and as ego macro-actions.
 """
 from __future__ import annotations
 
@@ -26,10 +25,6 @@ class DriverError(Exception):
 
 class IllegalIntention(DriverError):
     """Lane change toward a lane that does not exist."""
-
-
-class DeadEnd(DriverError):
-    """LF reached a lane with no successor."""
 
 
 class IntentionKind(Enum):
@@ -100,10 +95,6 @@ class PhysicalState:
     s: float = 0.0
     d: float = 0.0
 
-    @property
-    def position(self) -> tuple[float, float]:
-        return (self.x, self.y)
-
 
 def make_state(
     network: RoadNetwork,
@@ -161,20 +152,8 @@ class RefPath:
         self.length = off
         self._segs = [(self.offsets[ln.id], ln) for ln in lanes]
 
-    def point_at(self, s: float) -> tuple[tuple[float, float], float]:
-        s = clamp(s, 0.0, self.length)
-        for off, ln in self._segs:
-            if s <= off + ln.length:
-                return ln.point_at(clamp(s - off, 0.0, ln.length))
-        off, ln = self._segs[-1]
-        return ln.point_at(clamp(s - off, 0.0, ln.length))
-
     def point_xy(self, s: float) -> tuple[float, float]:
-        """Centerline point at arc length s, without the tangent heading.
-
-        Same arithmetic as point_at; kept separate because the steering
-        loop only needs the point and this path is very hot.
-        """
+        """Centerline point at arc length s (clamped to the chain)."""
         s = clamp(s, 0.0, self.length)
         for off, ln in self._segs:
             if s <= off + ln.length:
@@ -204,32 +183,13 @@ class RefPath:
         assert best is not None
         return best
 
-    def arc_of(self, state: PhysicalState) -> float | None:
-        """Arc position of an agent anchored on one of the chain's lanes."""
-        off = self.offsets.get(state.lane)
-        if off is None:
-            return None
-        return off + state.s
 
-
-def select_connector(
-    state: PhysicalState,
-    network: RoadNetwork,
-    goal: LaneId | None = None,
-    rng_seed: int = 0,
-) -> LaneId:
-    """Pick the successor lane to follow past the end of the current lane.
+def _choose_successor(lane_id, succ, network, goal, rng_seed) -> LaneId:
+    """Successor to follow past the end of lane_id (succ is non-empty).
 
     Goal-directed (min lane hops to goal, ties to lowest id) when a goal is
     given; otherwise a fixed uniform draw from (rng_seed, lane id).
     """
-    succ = network.lanes[state.lane].successors
-    return _choose_successor(state.lane, succ, network, goal, rng_seed)
-
-
-def _choose_successor(lane_id, succ, network, goal, rng_seed) -> LaneId:
-    if not succ:
-        raise DeadEnd(f"lane {lane_id} has no successor")
     if len(succ) == 1:
         return succ[0]
     if goal is not None:
@@ -278,26 +238,6 @@ def reference_path(
     return path
 
 
-def pure_pursuit_yaw(
-    state: PhysicalState,
-    path: RefPath,
-    lookahead: float,
-    yaw_max: float = YAW_MAX,
-    s_here: float | None = None,
-) -> float:
-    """Yaw-rate command steering toward the point `lookahead` ahead on path.
-
-    Callers that already know the arc position (from the lane anchor) pass
-    s_here to skip the projection.
-    """
-    if s_here is None:
-        s_here, _ = path.project(state.x, state.y)
-    tx, ty = path.point_xy(s_here + lookahead)
-    alpha = wrap_angle(math.atan2(ty - state.y, tx - state.x) - state.heading)
-    kappa = 2.0 * math.sin(alpha) / lookahead
-    return clamp(kappa * state.speed, -yaw_max, yaw_max)
-
-
 def _leader_on_path(
     path: RefPath, arc_self: float, neighbors, vehicle_length: float = VEHICLE_LENGTH
 ) -> tuple[float, float]:
@@ -319,108 +259,6 @@ def _leader_on_path(
     return best_gap, best_speed
 
 
-def _dead_end_gap(path: RefPath, arc_self: float) -> float:
-    """Gap to a virtual stopped car at a successor-less path end, or inf.
-
-    Keeps every agent on the network: without it, rollouts near a road
-    edge drive past the last centerline point and lose their lane anchor.
-    """
-    if path.lanes[-1].successors:
-        return math.inf
-    gap = path.length - arc_self - VEHICLE_LENGTH
-    return gap if gap < END_STOP_RANGE else math.inf
-
-
-def mobil_decide(
-    subject: PhysicalState,
-    subject_v0: float,
-    neighbors: list[PhysicalState],
-    direction: IntentionKind,
-    network: RoadNetwork,
-    politeness: float = 0.5,
-    accel_threshold: float = 0.2,
-    b_safe: float = 3.0,
-    params: IdmParams = DEFAULT_IDM,
-) -> bool:
-    """MOBIL gap-acceptance check for a lane change in `direction`.
-
-    Safety: the would-be new follower must not need to brake harder than
-    b_safe. Incentive: own IDM gain plus politeness-weighted gains of both
-    followers must strictly exceed the threshold. Unknown desired speeds of
-    other drivers are proxied by their current speeds.
-    """
-    lane = network.lanes[subject.lane]
-    target_id = lane.left_neighbor if direction == IntentionKind.LC_L else lane.right_neighbor
-    if target_id is None:
-        return False
-    target = network.lanes[target_id]
-
-    def split(lane_obj):
-        """Leader / follower of the subject's abeam position on lane_obj."""
-        s_subj, _ = lane_obj.project_local(subject.x, subject.y)
-        leader = follower = None
-        lead_gap = fol_gap = math.inf
-        for other in neighbors:
-            if other.lane != lane_obj.id:
-                continue
-            if other.s > s_subj:
-                gap = other.s - s_subj - VEHICLE_LENGTH
-                if gap < lead_gap:
-                    leader, lead_gap = other, gap
-            else:
-                gap = s_subj - other.s - VEHICLE_LENGTH
-                if gap < fol_gap:
-                    follower, fol_gap = other, gap
-        return leader, lead_gap, follower, fol_gap
-
-    def acc(agent, v0, gap, lead_speed):
-        return idm_accel(agent.speed, v0, gap, lead_speed, params=params)
-
-    def proxy_v0(agent):
-        return max(agent.speed, 1.0)
-
-    cur_leader, cur_gap, cur_fol, cur_fol_gap = split(lane)
-    new_leader, new_gap, new_fol, new_fol_gap = split(target)
-    cur_lead_speed = cur_leader.speed if cur_leader else 0.0
-    new_lead_speed = new_leader.speed if new_leader else 0.0
-
-    # safety: braking imposed on the would-be new follower
-    if new_fol is not None:
-        if acc(new_fol, proxy_v0(new_fol), new_fol_gap, subject.speed) < -b_safe:
-            return False
-
-    gain_own = acc(subject, subject_v0, new_gap, new_lead_speed) - acc(
-        subject, subject_v0, cur_gap, cur_lead_speed
-    )
-
-    gain_others = 0.0
-    if new_fol is not None:
-        # before: the new follower tails the subject's new leader
-        before_gap = new_fol_gap + VEHICLE_LENGTH + new_gap
-        before = acc(new_fol, proxy_v0(new_fol), before_gap, new_lead_speed)
-        after = acc(new_fol, proxy_v0(new_fol), new_fol_gap, subject.speed)
-        gain_others += after - before
-    if cur_fol is not None:
-        # after: the old follower inherits the subject's current leader
-        after_gap = cur_fol_gap + VEHICLE_LENGTH + cur_gap
-        before = acc(cur_fol, proxy_v0(cur_fol), cur_fol_gap, subject.speed)
-        after = acc(cur_fol, proxy_v0(cur_fol), after_gap, cur_lead_speed)
-        gain_others += after - before
-
-    return gain_own + politeness * gain_others > accel_threshold
-
-
-def integrate_unicycle(
-    state: PhysicalState, accel: float, yaw_rate: float, dt: float
-) -> PhysicalState:
-    """One unicycle tick; speed clamped at zero (no reversing)."""
-    nx = state.x + state.speed * dt * math.cos(state.heading)
-    ny = state.y + state.speed * dt * math.sin(state.heading)
-    nh = wrap_angle(state.heading + yaw_rate * dt)
-    nv = max(0.0, state.speed + accel * dt)
-    return PhysicalState(nx, ny, nh, nv, accel, yaw_rate, state.lane, state.s, state.d)
-
-
 def legal_intentions(network: RoadNetwork, lane_id: LaneId) -> list[Intention]:
     """Intentions realizable from a lane: LF always, LCs where neighbors exist."""
     lane = network.lanes[lane_id]
@@ -430,6 +268,36 @@ def legal_intentions(network: RoadNetwork, lane_id: LaneId) -> list[Intention]:
     if lane.right_neighbor is not None:
         out.append(Intention(IntentionKind.LC_R, lane.right_neighbor))
     return out
+
+
+def _adjacent(network: RoadNetwork, lane_id: LaneId, target_id: LaneId) -> bool:
+    """Whether target_id is lane_id itself or one of its lateral neighbors."""
+    anchor = network.lanes[lane_id]
+    return target_id in (lane_id, anchor.left_neighbor, anchor.right_neighbor)
+
+
+def settle_lane_change(
+    network: RoadNetwork, state: PhysicalState, intention: Intention
+) -> Intention:
+    """The lane-change completion rule, applied to a state after its step.
+
+    A change whose target is no longer adjacent to the anchor lane (it
+    ended at a split while the change was under way) is given up: LF. A
+    change within LC_DONE_D of the target centerline and LC_DONE_HEADING of
+    its tangent is complete: LF, and the state is re-anchored to the target
+    in place. Any other intention is returned unchanged.
+    """
+    if intention.kind == IntentionKind.LF:
+        return intention
+    if not _adjacent(network, state.lane, intention.target_lane):
+        return LF
+    target = network.lanes[intention.target_lane]
+    st, d = target.project_local(state.x, state.y)
+    _, tangent = target.point_at(st)
+    if abs(d) < LC_DONE_D and abs(wrap_angle(state.heading - tangent)) < LC_DONE_HEADING:
+        state.lane, state.s, state.d = target.id, st, d
+        return LF
+    return intention
 
 
 def step_driver(
@@ -449,16 +317,16 @@ def step_driver(
     and IDM toward style.v0. LC pursues the target-lane centerline with
     lookahead style.lookahead while IDM follows the most constraining
     leader across current and target paths. Returns the new state and the
-    (possibly collapsed) intention; a finished lane change becomes LF.
+    intention left by settle_lane_change: a finished or abandoned lane
+    change becomes LF.
 
     Pure function: identical inputs give bit-identical outputs.
     """
     if not 0.0 < dt <= 0.5:
         raise DriverError(f"dt={dt} outside (0, 0.5]")
 
-    # the body below inlines reference_path's cache probe, arc_of,
-    # _dead_end_gap, pure_pursuit_yaw and integrate_unicycle: this function
-    # is the innermost loop of every simulation and rollout
+    # reference_path's cache probe, inlined: this function is the
+    # innermost loop of every simulation and rollout
     own_path = network._ref_cache.get(
         (state.lane, goal_lane, connector_seed, REF_MIN_LENGTH)
     )
@@ -474,11 +342,11 @@ def step_driver(
         tid = intention.target_lane
         if tid is None or tid not in network.lanes:
             raise IllegalIntention(f"{intention.kind.name} without a valid target lane")
-        anchor = network.lanes[state.lane]
-        if state.lane != tid and anchor.left_neighbor != tid and anchor.right_neighbor != tid:
-            # target no longer reachable laterally (e.g., it ended at a
-            # split while the change was underway); steering toward its
-            # clamped endpoint would spiral, so give up the change
+        if not _adjacent(network, state.lane, tid):
+            # an intention handed in from outside (e.g. a filter particle
+            # whose jittered state projected onto another lane) may target
+            # a lane out of lateral reach; steering toward its clamped
+            # endpoint would spiral, so give up the change
             intention = LF
 
     steer_arc = arc_self
@@ -538,11 +406,4 @@ def step_driver(
         lane, s, d = project(network, (new.x, new.y), hint=state.lane)
         new.lane, new.s, new.d = lane, s, d
 
-    if intention.kind != IntentionKind.LF:
-        target = network.lanes[intention.target_lane]
-        st, dtgt = target.project_local(new.x, new.y)
-        _, tangent = target.point_at(st)
-        if abs(dtgt) < LC_DONE_D and abs(wrap_angle(new.heading - tangent)) < LC_DONE_HEADING:
-            intention = LF
-            new.lane, new.s, new.d = target.id, st, dtgt
-    return new, intention
+    return new, settle_lane_change(network, new, intention)

@@ -12,30 +12,21 @@ import json
 from dataclasses import asdict, dataclass, replace
 
 from .config import Config
-from .driver import (
-    LC_DONE_D,
-    LC_DONE_HEADING,
-    Intention,
-    IntentionKind,
-    LF,
-    make_state,
-    step_driver,
-)
-from .inference import init_belief, ml_hypothesis, posterior_style_mean, update
+from .driver import LC_DONE_D, Intention, LF, make_state, settle_lane_change
+from .driver import step_driver  # noqa: F401  (rebound by perfbench/tracing.py)
+from .inference import exo_agent, init_belief, ml_hypothesis, posterior_style_mean, update
 from .planner import Budget, plan
 from .pomdp import (
     DT,
-    ExoAgent,
     Scenario,
+    _bind_ego_intention,
+    advance,
     extract_observation,
     goal_distance,
-    rectangles_overlap,
-    step_reward,
 )
 from .refine import build_proposal, cross_evaluate, generate_candidates, resample
-from .road import RoadNetwork
-from .scenes import ScenarioSpec, build_network, ground_truth_agents
-from .util import mix, wrap_angle
+from .scenes import ScenarioSpec, ground_truth_agents
+from .util import mix
 
 COMFORT_ACCEL = 2.5  # m/s^2
 COMFORT_JERK = 4.0  # m/s^3
@@ -92,28 +83,11 @@ def _belief_summary(belief) -> dict:
 
 def _ml_scenario(belief, ego, ego_intention, noise_seed) -> Scenario:
     """Single maximum-likelihood determinization (the wo_unc ablation)."""
-    exos = []
-    for aid in sorted(belief.per_agent):
-        m, p = ml_hypothesis(belief.per_agent[aid])
-        exos.append(ExoAgent(aid, p.state, p.intention, p.style, p.connector_seed))
+    exos = [
+        exo_agent(aid, ml_hypothesis(belief.per_agent[aid])[1])
+        for aid in sorted(belief.per_agent)
+    ]
     return Scenario(ego=ego, exos=exos, noise_seed=noise_seed, ego_intention=ego_intention)
-
-
-def _maybe_collapse(network: RoadNetwork, state, intention: Intention) -> Intention:
-    """Mirror the driver models' lane-change completion rule for the ego."""
-    if intention.kind == IntentionKind.LF:
-        return intention
-    anchor = network.lanes[state.lane]
-    tid = intention.target_lane
-    if state.lane != tid and anchor.left_neighbor != tid and anchor.right_neighbor != tid:
-        return LF  # target no longer adjacent (it ended at a split)
-    target = network.lanes[intention.target_lane]
-    st, d = target.project_local(state.x, state.y)
-    _, tangent = target.point_at(st)
-    if abs(d) < LC_DONE_D and abs(wrap_angle(state.heading - tangent)) < LC_DONE_HEADING:
-        state.lane, state.s, state.d = target.id, st, d
-        return LF
-    return intention
 
 
 def run_episode(
@@ -183,7 +157,6 @@ def run_episode(
             seed=mix(master, 2, tick),
             ego_intention=ego_intention,
             noise=noise,
-            lambda_reg=cfg.lambda_reg,
             scenarios=plan_scenarios,
         )
 
@@ -204,24 +177,13 @@ def run_episode(
         ev, best = cross_evaluate(candidates, weighted, network, weights)
 
         # --- act: consume the refined trajectory for one tick ----------
-        bound_intention, _ = _bind(tree.root_action, ego, ego_intention, network)
+        bound_intention, _ = _bind_ego_intention(ego, ego_intention, tree.root_action, network)
         new_ego = replace(best.states[0])
-        new_intention = _maybe_collapse(network, new_ego, bound_intention)
+        ego_intention = settle_lane_change(network, new_ego, bound_intention)
 
         # --- world advances (exo-agents react to the previous-tick ego)
-        prev_ego = ego
-        for k, e in enumerate(exos):
-            others = [prev_ego] + [x.state for j, x in enumerate(exos) if j != k]
-            e.state, e.intention = step_driver(
-                e.state, e.intention, e.style, others, network, DT,
-                connector_seed=e.connector_seed,
-            )
+        r, tick_collided = advance(ego, new_ego, exos, network, weights, False)
         ego = new_ego
-        ego_intention = new_intention
-
-        tick_collided = any(rectangles_overlap(ego, e.state) for e in exos)
-        d_goal = goal_distance(network, ego.lane)
-        r = step_reward(ego.speed, d_goal, tick_collided, False, weights)
         total_reward += r
         accels.append(ego.accel)
 
@@ -281,13 +243,6 @@ def run_episode(
     )
     trace.append({"record": "metrics", **metrics.to_dict()})
     return metrics, trace
-
-
-def _bind(action, ego, ego_intention, network):
-    from .pomdp import _bind_ego_intention
-
-    sc = Scenario(ego=ego, exos=[], noise_seed=0, ego_intention=ego_intention)
-    return _bind_ego_intention(sc, action, network)
 
 
 def write_trace(trace: list[dict], path):

@@ -13,6 +13,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .driver import (
+    LF,
     LOOKAHEAD_BOUNDS,
     V0_BOUNDS,
     Intention,
@@ -23,11 +24,9 @@ from .driver import (
     step_driver,
 )
 from .observation import AgentId, AgentObs, Observation, ObservationNoise
+from .pomdp import ExoAgent, Scenario
 from .road import RoadNetwork
 from .util import mix, wrap_angle
-
-class AllParticlesDegenerate(Exception):
-    """Every particle likelihood underflowed to zero for one intention."""
 
 
 @dataclass(frozen=True)
@@ -287,11 +286,13 @@ def ml_hypothesis(agent_belief: AgentBelief) -> tuple[Intention, Particle]:
 
 
 def sample_agent(
-    agent_belief: AgentBelief, rng: np.random.Generator
+    agent_belief: AgentBelief,
+    intention_dist: dict[Intention, float],
+    rng: np.random.Generator,
 ) -> tuple[Intention, Particle]:
-    """Draw m ~ intention_prob, then a particle ~ weights within m."""
-    intents = sorted(agent_belief.intention_prob, key=lambda m: m.kind.value)
-    probs = np.array([agent_belief.intention_prob[m] for m in intents])
+    """Draw m ~ intention_dist, then a particle ~ weights within m."""
+    intents = sorted(intention_dist, key=lambda m: m.kind.value)
+    probs = np.array([intention_dist[m] for m in intents])
     m = intents[rng.choice(len(intents), p=probs / probs.sum())]
     ps = agent_belief.particles[m]
     weights = np.array([p.weight for p in ps])
@@ -299,30 +300,33 @@ def sample_agent(
     return m, p
 
 
+def exo_agent(aid: AgentId, particle: Particle) -> ExoAgent:
+    """The scenario exo-agent a particle determinizes."""
+    return ExoAgent(
+        aid, particle.state, particle.intention, particle.style, particle.connector_seed
+    )
+
+
 def sample_scenarios(
     belief: JointBelief,
     K: int,
     master_seed: int,
     ego: PhysicalState,
-    ego_intention: Intention | None = None,
-) -> list:
+    ego_intention: Intention = LF,
+) -> list[Scenario]:
     """Draw K determinized scenarios from the joint belief.
 
     Per scenario and per agent: intention ~ intention histogram, then a
     particle ~ its weights. Each scenario gets a fresh noise seed derived
     from master_seed, so replays are exact.
     """
-    from .pomdp import ExoAgent, LF, Scenario
-
-    if ego_intention is None:
-        ego_intention = LF
     scenarios = []
     for k in range(K):
         rng = np.random.Generator(np.random.PCG64(mix(master_seed, 0x5CE9A810, k)))
         exos = []
         for aid in sorted(belief.per_agent):
-            _, p = sample_agent(belief.per_agent[aid], rng)
-            exos.append(ExoAgent(aid, p.state, p.intention, p.style, p.connector_seed))
+            ab = belief.per_agent[aid]
+            exos.append(exo_agent(aid, sample_agent(ab, ab.intention_prob, rng)[1]))
         scenarios.append(
             Scenario(
                 ego=ego,

@@ -24,14 +24,12 @@ from .pomdp import (
     MacroAction,
     RewardWeights,
     Scenario,
-    StyleParam,
     goal_distance,
-    SimOutcome,
     legal_actions,
     macro_action,
-    scenario_key,
     simulate,
 )
+from .pomdp import scenario_key  # noqa: F401  (rebound by perfbench/tracing.py)
 from .road import RoadNetwork
 
 EPS_GAP = 1e-9
@@ -69,20 +67,12 @@ class BeliefNode:
     def expanded(self) -> bool:
         return bool(self.children)
 
-    def count_nodes(self) -> int:
-        n = 1
-        for an in self.children.values():
-            for child in an.obs_children.values():
-                n += child.count_nodes()
-        return n
-
 
 @dataclass
 class ActionNode:
     action: MacroAction
     mean_reward: float  # root-discounted, averaged over the parent's scenarios
     obs_children: dict[tuple, BeliefNode]
-    n_scenarios: int
     q_lower: float = 0.0
     q_upper: float = 0.0
 
@@ -115,33 +105,6 @@ def observation_key(obs: Observation, network: RoadNetwork, hints: dict) -> tupl
             lane, s = -1, 0.0  # noisy reading off the network: its own bucket
         parts.append((aid, lane, int(s // S_BUCKET), int(oa.speed // V_BUCKET)))
     return tuple(parts)
-
-
-def default_policy_value(
-    scenario: Scenario,
-    depth_s: float,
-    horizon_s: float,
-    network: RoadNetwork,
-    weights: RewardWeights,
-    start_tick: int,
-    ego_style: StyleParam = EGO_STYLE,
-) -> float:
-    """Discounted value of rolling out LF to the horizon (lower bound)."""
-    total = 0.0
-    sc = scenario
-    t = start_tick
-    d = depth_s
-    while d + LF_DURATION <= horizon_s + 1e-9:
-        out = simulate(
-            sc, MacroAction(IntentionKind.LF, LF_DURATION, ego_style), network, weights, t
-        )
-        total += out.reward
-        if out.terminal:
-            break
-        sc = out.end
-        t += out.ticks
-        d += LF_DURATION
-    return total
 
 
 def upper_bound_value(
@@ -199,24 +162,6 @@ class _Search:
         self.weights = weights
         self.horizon_s = horizon_s
         self.noise = noise
-        self._sim_cache: dict[tuple, SimOutcome] = {}
-
-    def sim(self, sc: Scenario, action: MacroAction, start_tick: int) -> SimOutcome:
-        """Memoized simulation: the physics is a pure function of the
-        scenario content, so content-identical sampled scenarios share one
-        rollout. Only the final observation depends on the scenario's noise
-        seed; on a hit with a different seed it is redrawn, which reproduces
-        the uncached result bit for bit."""
-        key = (scenario_key(sc), action.kind, action.duration, action.ego_style, start_tick)
-        hit = self._sim_cache.get(key)
-        if hit is None:
-            out = simulate(sc, action, self.network, self.weights, start_tick, self.noise)
-            self._sim_cache[key] = out
-            return out
-        if hit.end.noise_seed == sc.noise_seed:
-            return hit
-        end = Scenario(hit.end.ego, hit.end.exos, sc.noise_seed, hit.end.ego_intention)
-        return SimOutcome(hit.states, hit.reward, hit.terminal, end, hit.ticks, self.noise, start_tick)
 
     def lf_rollout(self, scenario: Scenario, depth_s: float, start_tick: int) -> list:
         """Chained LF segments to the horizon (the default policy)."""
@@ -224,7 +169,7 @@ class _Search:
         sc, t, d = scenario, start_tick, depth_s
         lf = macro_action(IntentionKind.LF)
         while d + LF_DURATION <= self.horizon_s + 1e-9:
-            out = self.sim(sc, lf, t)
+            out = simulate(sc, lf, self.network, self.weights, t, self.noise)
             segs.append(out)
             if out.terminal:
                 break
@@ -263,7 +208,10 @@ class _Search:
                 conts = [r[1:] for r in node.rollouts]
             else:
                 outcomes = [
-                    self.sim(sc, action, node.start_tick) for sc in node.scenarios
+                    simulate(
+                        sc, action, self.network, self.weights, node.start_tick, self.noise
+                    )
+                    for sc in node.scenarios
                 ]
                 conts = [None] * n
             mean_reward = sum(o.reward for o in outcomes) / n
@@ -291,9 +239,7 @@ class _Search:
                         rollouts=sub if all(c is not None for c in sub) else None,
                     )
                 children[key] = child
-            node.children[action.kind] = ActionNode(
-                action, mean_reward, children, n
-            )
+            node.children[action.kind] = ActionNode(action, mean_reward, children)
         self.backup_node(node)
 
     def backup_node(self, node: BeliefNode):
@@ -350,7 +296,8 @@ class _Search:
         return node, path
 
 
-def best_root_action(root: BeliefNode, lambda_reg: float = 0.0) -> MacroAction | None:
+def best_root_action(root: BeliefNode) -> MacroAction | None:
+    """Action with the highest lower bound (ties to ACTION_ORDER)."""
     best = None
     best_val = -math.inf
     for kind in ACTION_ORDER:
@@ -358,9 +305,6 @@ def best_root_action(root: BeliefNode, lambda_reg: float = 0.0) -> MacroAction |
         if an is None:
             continue
         val = an.q_lower
-        if lambda_reg > 0.0:
-            size = sum(c.count_nodes() for c in an.obs_children.values())
-            val -= lambda_reg * size / max(1, an.n_scenarios)
         if val > best_val + EPS_GAP:
             best_val = val
             best = an.action
@@ -409,7 +353,6 @@ def plan(
     seed: int = 0,
     ego_intention: Intention = LF,
     noise: ObservationNoise = ObservationNoise(),
-    lambda_reg: float = 0.0,
     scenarios: list[Scenario] | None = None,
 ) -> PolicyTree:
     """Run the anytime search and return the policy tree.
@@ -439,7 +382,7 @@ def plan(
         for node in reversed(path[:-1]):
             search.backup_node(node)
 
-    action = best_root_action(root, lambda_reg)
+    action = best_root_action(root)
     if action is None:  # no expansion happened: fall back to the default policy
         action = MacroAction(IntentionKind.LF, LF_DURATION, EGO_STYLE)
         tree = PolicyTree(action, root, [action], expansions, root.lower, root.upper)

@@ -86,7 +86,7 @@ class Scenario:
 
 @dataclass(slots=True)
 class SimOutcome:
-    states: list[tuple[PhysicalState, dict[AgentId, PhysicalState]]]
+    states: list[PhysicalState]  # ego state per simulated tick
     reward: float  # discounted from the root tick
     terminal: bool
     end: Scenario  # scenario advanced to the end of the segment
@@ -212,19 +212,50 @@ def scenario_key(sc: Scenario) -> tuple:
     )
 
 
-def _bind_ego_intention(scenario: Scenario, action: MacroAction, network: RoadNetwork):
+def _bind_ego_intention(
+    ego: PhysicalState, ego_intention: Intention, action: MacroAction, network: RoadNetwork
+):
     """Resolve the ego's intention for this action, and whether a fresh LC starts."""
     if action.kind == IntentionKind.LF:
-        if scenario.ego_intention.kind == IntentionKind.LF:
-            return LF, False
-        return LF, False  # abort an unfinished LC: steer back, no new charge
-    if scenario.ego_intention.kind == action.kind:
-        return scenario.ego_intention, False  # continue mid-execution LC
-    lane = network.lanes[scenario.ego.lane]
+        return LF, False  # also aborts an unfinished LC: steer back, no new charge
+    if ego_intention.kind == action.kind:
+        return ego_intention, False  # continue mid-execution LC
+    lane = network.lanes[ego.lane]
     target = lane.left_neighbor if action.kind == IntentionKind.LC_L else lane.right_neighbor
     if target is None:
-        raise ValueError(f"{action.kind.name} illegal from lane {scenario.ego.lane}")
+        raise ValueError(f"{action.kind.name} illegal from lane {ego.lane}")
     return Intention(action.kind, target), True
+
+
+def advance(
+    prev_ego: PhysicalState,
+    ego: PhysicalState,
+    exos: list[ExoAgent],
+    network: RoadNetwork,
+    weights: RewardWeights,
+    lc_initiated: bool,
+) -> tuple[float, bool]:
+    """One joint tick after the ego has moved from prev_ego to ego.
+
+    Steps the exo-agents in place, in list order (Gauss-Seidel): exo k
+    sees the previous-tick ego, the already-stepped exos 0..k-1 and the
+    not-yet-stepped rest. Then scores the ego's new state against the
+    stepped exos. Returns the undiscounted step reward and whether the ego
+    collided.
+    """
+    states = [e.state for e in exos]
+    for k, e in enumerate(exos):
+        others = [prev_ego]
+        others.extend(states[:k])
+        others.extend(states[k + 1:])
+        e.state, e.intention = step_driver(
+            e.state, e.intention, e.style, others, network, DT,
+            connector_seed=e.connector_seed,
+        )
+        states[k] = e.state
+    collided = any(rectangles_overlap(ego, st) for st in states)
+    d_goal = goal_distance(network, ego.lane)
+    return step_reward(ego.speed, d_goal, collided, lc_initiated, weights), collided
 
 
 def simulate(
@@ -237,66 +268,43 @@ def simulate(
 ) -> SimOutcome:
     """Roll the joint state forward for one macro-action.
 
-    All agents step simultaneously from the previous tick's states; the
-    ego runs the action's driver model, each exo-agent its scenario
-    (m, theta). Rewards are discounted by gamma^tick from the root.
-    Observation noise is drawn only for the final observation.
+    Each tick the ego runs the action's driver model against the exo
+    states of the previous tick, then advance() steps the exo-agents under
+    their scenario (m, theta) and scores the tick. Rewards are discounted
+    by gamma^tick from the root. Observation noise is drawn only for the
+    final observation.
     """
     ego = scenario.ego
-    ego_intent, initiated = _bind_ego_intention(scenario, action, network)
+    ego_intent, initiated = _bind_ego_intention(
+        scenario.ego, scenario.ego_intention, action, network
+    )
     exos = [
         ExoAgent(e.id, e.state, e.intention, e.style, e.connector_seed)
         for e in scenario.exos
     ]
 
     reward = 0.0
-    states: list[tuple[PhysicalState, dict[AgentId, PhysicalState]]] = []
+    states: list[PhysicalState] = []
     terminal = False
-    ticks_done = 0
     goal_lane = network.goal_lane
     ego_style = action.ego_style
     for i in range(action.ticks):
-        tick = start_tick + i
-        # exo states as a list updated in place, so each exo sees the same
-        # mix of already-stepped and not-yet-stepped peers as before
-        cur_states = [e.state for e in exos]
         new_ego, ego_intent = step_driver(
             ego,
             ego_intent,
             ego_style,
-            cur_states,
+            [e.state for e in exos],
             network,
             DT,
             goal_lane=goal_lane,
         )
-        for k, e in enumerate(exos):
-            others = [ego]
-            others.extend(cur_states[:k])
-            others.extend(cur_states[k + 1:])
-            st, cur = step_driver(
-                e.state,
-                e.intention,
-                e.style,
-                others,
-                network,
-                DT,
-                connector_seed=e.connector_seed,
-            )
-            e.state, e.intention = st, cur
-            cur_states[k] = st
+        r, collided = advance(ego, new_ego, exos, network, weights, initiated and i == 0)
         ego = new_ego
-        ticks_done = i + 1
-
-        collided = any(rectangles_overlap(ego, e.state) for e in exos)
-        d_goal = goal_distance(network, ego.lane)
-        r = step_reward(
-            ego.speed, d_goal, collided, initiated and i == 0, weights
-        )
-        reward += (weights.gamma ** tick) * r
-        states.append((ego, {e.id: e.state for e in exos}))
+        reward += (weights.gamma ** (start_tick + i)) * r
+        states.append(ego)
         if collided:
             terminal = True
             break
 
     end = Scenario(ego=ego, exos=exos, noise_seed=scenario.noise_seed, ego_intention=ego_intent)
-    return SimOutcome(states, reward, terminal, end, ticks_done, noise, start_tick)
+    return SimOutcome(states, reward, terminal, end, len(states), noise, start_tick)

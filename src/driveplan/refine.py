@@ -13,8 +13,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .driver import B_EMERGENCY, YAW_MAX, Intention, LF, PhysicalState, StyleParam, step_driver
-from .inference import JointBelief
+from .driver import B_EMERGENCY, YAW_MAX, Intention, LF, PhysicalState, StyleParam
+from .driver import step_driver  # noqa: F401  (rebound by perfbench/tracing.py)
+from .inference import JointBelief, exo_agent, sample_agent
 from .observation import AgentId
 from .pomdp import (
     DT,
@@ -23,11 +24,9 @@ from .pomdp import (
     RewardWeights,
     Scenario,
     _bind_ego_intention,
-    goal_distance,
-    rectangles_overlap,
+    advance,
     scenario_key as _scenario_key,
     simulate,
-    step_reward,
 )
 from .road import RoadNetwork
 from .util import mix
@@ -51,10 +50,6 @@ class Candidate:
     source_scenario: int
     speed_scale: float
     lc_initiated: bool = False
-
-    @property
-    def times(self) -> list[float]:
-        return [(i + 1) * DT for i in range(len(self.states))]
 
 
 @dataclass
@@ -94,14 +89,9 @@ def resample(
         for aid in sorted(belief.per_agent):
             ab = belief.per_agent[aid]
             q = proposal.per_agent[aid]
-            intents = sorted(q, key=lambda m: m.kind.value)
-            probs = np.array([q[m] for m in intents])
-            m = intents[rng.choice(len(intents), p=probs / probs.sum())]
+            m, p = sample_agent(ab, q, rng)
             w *= ab.intention_prob[m] / q[m]
-            ps = ab.particles[m]
-            pw = np.array([p.weight for p in ps])
-            p = ps[rng.choice(len(ps), p=pw / pw.sum())]
-            exos.append(ExoAgent(aid, p.state, p.intention, p.style, p.connector_seed))
+            exos.append(exo_agent(aid, p))
         sc = Scenario(
             ego=ego,
             exos=exos,
@@ -145,16 +135,14 @@ def generate_candidates(
         if key in seen:  # an exact repeat yields the same trajectories
             continue
         seen.add(key)
-        _, initiated = _bind_ego_intention(sc, first, network)
+        _, initiated = _bind_ego_intention(sc.ego, sc.ego_intention, first, network)
         for scale in speed_scales:
             style = StyleParam(
                 v0=first.ego_style.v0 * scale, lookahead=first.ego_style.lookahead
             )
             action = MacroAction(first.kind, first.duration, style)
             sim = simulate(sc, action, network, weights, start_tick=0)
-            cand = Candidate(
-                [st for st, _ in sim.states], idx, scale, lc_initiated=initiated
-            )
+            cand = Candidate(sim.states, idx, scale, lc_initiated=initiated)
             if not any(_close(cand, kept) for kept in out):
                 out.append(cand)
     return out
@@ -178,8 +166,8 @@ def replay_value(
 ) -> float:
     """V_i(tau): ego follows tau verbatim, exo-agents react via their models.
 
-    Mirrors the planner's simulator exactly (simultaneous stepping from the
-    previous tick, discount from tick zero, early stop on collision).
+    The joint tick is the planner simulator's (pomdp.advance), with the
+    discount from tick zero and an early stop on collision.
     """
     exos = [
         ExoAgent(e.id, e.state, e.intention, e.style, e.connector_seed)
@@ -188,21 +176,8 @@ def replay_value(
     prev_ego = scenario.ego
     total = 0.0
     for i, ego_state in enumerate(cand.states):
-        # same in-place peer-state bookkeeping as the forward simulator
-        cur_states = [e.state for e in exos]
-        for k, e in enumerate(exos):
-            others = [prev_ego]
-            others.extend(cur_states[:k])
-            others.extend(cur_states[k + 1:])
-            e.state, e.intention = step_driver(
-                e.state, e.intention, e.style, others, network, DT,
-                connector_seed=e.connector_seed,
-            )
-            cur_states[k] = e.state
-        collided = any(rectangles_overlap(ego_state, e.state) for e in exos)
-        d_goal = goal_distance(network, ego_state.lane)
-        r = step_reward(
-            ego_state.speed, d_goal, collided, cand.lc_initiated and i == 0, weights
+        r, collided = advance(
+            prev_ego, ego_state, exos, network, weights, cand.lc_initiated and i == 0
         )
         total += (weights.gamma ** i) * r
         if collided:
@@ -222,18 +197,10 @@ def cross_evaluate(
     lowest index)."""
     assert candidates and weighted_scenarios
     n = len(weighted_scenarios)
-    # replay once per distinct scenario content; repeats share the value
-    groups: dict[tuple, list[int]] = {}
-    for idx, (sc, _) in enumerate(weighted_scenarios):
-        groups.setdefault(_scenario_key(sc), []).append(idx)
     values = []
     estimates = []
     for cand in candidates:
-        row = [0.0] * n
-        for idxs in groups.values():
-            v = replay_value(cand, weighted_scenarios[idxs[0]][0], network, weights)
-            for i in idxs:
-                row[i] = v
+        row = [replay_value(cand, sc, network, weights) for sc, _ in weighted_scenarios]
         values.append(row)
         estimates.append(sum(w * v for (_, w), v in zip(weighted_scenarios, row)) / n)
     best = max(
@@ -244,24 +211,3 @@ def cross_evaluate(
         values, [w for _, w in weighted_scenarios], estimates, best
     )
     return ev, candidates[best]
-
-
-def refine(
-    belief: JointBelief,
-    ego: PhysicalState,
-    planned_sequence: list[MacroAction],
-    network: RoadNetwork,
-    weights: RewardWeights = RewardWeights(),
-    n_is: int = 30,
-    lambda_mix: float = 0.5,
-    seed: int = 0,
-    ego_intention: Intention = LF,
-) -> tuple[Candidate, CrossEvaluation]:
-    """Full refinement pass: proposal, resampling, candidates, selection."""
-    proposal = build_proposal(belief, lambda_mix)
-    weighted = resample(proposal, belief, n_is, seed, ego, ego_intention)
-    candidates = generate_candidates(
-        [sc for sc, _ in weighted], planned_sequence, network, weights
-    )
-    ev, best = cross_evaluate(candidates, weighted, network, weights)
-    return best, ev

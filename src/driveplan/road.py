@@ -135,9 +135,6 @@ class RoadNetwork:
         self.max_width = max(ln.width for ln in lanes)
         self._validate()
         self._hops_to_goal = self._hops_from(goal_lane, reverse=True)
-        self.unreachable: frozenset[LaneId] = frozenset(
-            lid for lid in self.lanes if lid not in self._hops_to_goal
-        )
         self._hop_cache: dict[tuple[LaneId, LaneId], float] = {}
         self._adj_cache: dict[LaneId, list[LaneId]] = {}
         self._path_cache: dict = {}  # used by driver.reference_path
@@ -270,7 +267,3 @@ def lane_change_distance(network: RoadNetwork, from_lane: LaneId, to_lane: LaneI
         network._hop_cache[key] = cached
     return cached
 
-
-def point_at(lane: Lane, s: float) -> tuple[tuple[float, float], float]:
-    """Point and tangent heading at arc length s (thin wrapper for symmetry)."""
-    return lane.point_at(s)

@@ -5,7 +5,7 @@ import pytest
 
 from conftest import parallel_network
 from driveplan.driver import (
-    DeadEnd,
+    LF_LOOKAHEAD,
     IllegalIntention,
     Intention,
     IntentionKind,
@@ -13,15 +13,13 @@ from driveplan.driver import (
     PhysicalState,
     StyleParam,
     idm_accel,
-    integrate_unicycle,
     legal_intentions,
     make_state,
-    mobil_decide,
-    pure_pursuit_yaw,
     reference_path,
-    select_connector,
+    settle_lane_change,
     step_driver,
 )
+from driveplan.scenes import generate_scene
 
 DT = 0.2
 
@@ -62,57 +60,28 @@ class TestIdm:
 
 
 class TestPurePursuit:
+    """Lateral control, read off step_driver's yaw-rate command."""
+
     def test_aligned_on_centerline(self, three_lanes):
         st = agent(three_lanes, 50.0, 0.0, 10.0)
-        path = reference_path(three_lanes, 0, None, 0)
-        assert pure_pursuit_yaw(st, path, 6.0) == pytest.approx(0.0, abs=1e-12)
+        new, _ = step_driver(st, LF, StyleParam(v0=10.0), [], three_lanes, DT)
+        assert new.yaw_rate == pytest.approx(0.0, abs=1e-12)
 
     def test_left_offset_steers_right(self, three_lanes):
         st = agent(three_lanes, 50.0, 1.0, 5.0, hint=0)
-        path = reference_path(three_lanes, 0, None, 0)
-        assert pure_pursuit_yaw(st, path, 5.0) < 0.0
+        new, _ = step_driver(st, LF, StyleParam(v0=5.0), [], three_lanes, DT)
+        assert new.yaw_rate < 0.0
 
     def test_geometric_oracle(self, three_lanes):
-        # 1 m left, aligned, L_d = 5, speed = 5: alpha from lookahead triangle
+        # 1 m left, aligned, L_d = LF_LOOKAHEAD, speed = 5: alpha from the
+        # lookahead triangle; the pose integrates the previous heading
         st = agent(three_lanes, 50.0, 1.0, 5.0, hint=0)
-        path = reference_path(three_lanes, 0, None, 0)
-        alpha = math.atan2(-1.0, 5.0)
-        expected = 2.0 * math.sin(alpha) / 5.0 * 5.0
-        assert pure_pursuit_yaw(st, path, 5.0) == pytest.approx(expected, abs=1e-9)
-
-
-class TestMobil:
-    def test_blocked_lane_free_target(self, three_lanes):
-        subject = agent(three_lanes, 50.0, 0.0, 10.0)
-        stopped = agent(three_lanes, 60.0, 0.0, 0.0)
-        assert mobil_decide(subject, 12.0, [stopped], IntentionKind.LC_L, three_lanes)
-
-    def test_safety_rejects_closing_follower(self, three_lanes):
-        subject = agent(three_lanes, 50.0, 0.0, 10.0)
-        follower = agent(three_lanes, 48.0 - 4.5, 3.5, 15.0, hint=1)
-        assert not mobil_decide(subject, 12.0, [follower], IntentionKind.LC_L, three_lanes)
-
-    def test_missing_neighbor_false(self, three_lanes):
-        subject = agent(three_lanes, 50.0, 7.0, 10.0, hint=2)
-        assert not mobil_decide(subject, 12.0, [], IntentionKind.LC_L, three_lanes)
-
-    def test_threshold_is_strict(self, three_lanes):
-        # no neighbors at all: gains are exactly zero, 0 > 0.2 is false;
-        # and with threshold 0 the strict inequality still rejects
-        subject = agent(three_lanes, 50.0, 0.0, 10.0)
-        assert not mobil_decide(subject, 10.0, [], IntentionKind.LC_L, three_lanes)
-        assert not mobil_decide(
-            subject, 10.0, [], IntentionKind.LC_L, three_lanes, accel_threshold=0.0
-        )
-
-    def test_left_right_symmetry(self, three_lanes):
-        subject = agent(three_lanes, 50.0, 3.5, 10.0, hint=1)
-        lead = agent(three_lanes, 65.0, 3.5, 4.0, hint=1)
-        mirror_l = agent(three_lanes, 70.0, 7.0, 8.0, hint=2)
-        mirror_r = agent(three_lanes, 70.0, 0.0, 8.0, hint=0)
-        left = mobil_decide(subject, 12.0, [lead, mirror_l, mirror_r], IntentionKind.LC_L, three_lanes)
-        right = mobil_decide(subject, 12.0, [lead, mirror_l, mirror_r], IntentionKind.LC_R, three_lanes)
-        assert left == right
+        new, _ = step_driver(st, LF, StyleParam(v0=5.0), [], three_lanes, DT)
+        alpha = math.atan2(-1.0, LF_LOOKAHEAD)
+        expected = 2.0 * math.sin(alpha) / LF_LOOKAHEAD * 5.0
+        assert new.yaw_rate == pytest.approx(expected, abs=1e-9)
+        assert new.heading == pytest.approx(expected * DT, abs=1e-9)
+        assert (new.x, new.y) == pytest.approx((50.0 + 5.0 * DT, 1.0), abs=1e-12)
 
 
 class TestStepDriver:
@@ -126,9 +95,11 @@ class TestStepDriver:
         assert new.speed == pytest.approx(10.0)
 
     def test_rest_state_integrator(self, three_lanes):
+        # at rest the pose holds for one tick while IDM starts accelerating
         st = agent(three_lanes, 50.0, 0.0, 0.0)
-        new = integrate_unicycle(st, 0.0, 0.0, DT)
-        assert (new.x, new.y, new.heading, new.speed) == (st.x, st.y, st.heading, 0.0)
+        new, _ = step_driver(st, LF, StyleParam(v0=10.0), [], three_lanes, DT)
+        assert (new.x, new.y, new.heading, new.yaw_rate) == (st.x, st.y, st.heading, 0.0)
+        assert new.speed == pytest.approx(idm_accel(0.0, 10.0, math.inf) * DT)
 
     def test_speed_never_negative(self, three_lanes):
         st = agent(three_lanes, 50.0, 0.0, 0.5)
@@ -189,26 +160,51 @@ class TestStepDriver:
 
 
 class TestSelectConnector:
+    """Successor choice past a lane's end, read off reference_path's chain."""
+
     def test_single_successor(self, junction_network):
-        st = agent(junction_network, -10.0, 0.0, 5.0, hint=0)
-        assert select_connector(st, junction_network, goal=2) == 1
+        assert reference_path(junction_network, 0, 2, 0).lane_ids[:2] == (0, 1)
 
     def test_goal_directed_choice(self):
-        net = _fork_network()
-        st = make_state(net, (5.0, 0.0), 0.0, 5.0, hint=0)
-        assert select_connector(st, net, goal=2) == 2
+        assert reference_path(_fork_network(), 0, 2, 0).lane_ids == (0, 2)
 
     def test_seeded_choice_is_stable(self):
-        net = _fork_network()
-        st = make_state(net, (5.0, 0.0), 0.0, 5.0, hint=0)
-        first = select_connector(st, net, rng_seed=99)
+        first = reference_path(_fork_network(), 0, None, 99).lane_ids
+        assert first[1] in (1, 2)
         for _ in range(5):
-            assert select_connector(st, net, rng_seed=99) == first
+            assert reference_path(_fork_network(), 0, None, 99).lane_ids == first
 
-    def test_dead_end_raises(self, three_lanes):
-        st = agent(three_lanes, 50.0, 0.0, 5.0)
-        with pytest.raises(DeadEnd):
-            select_connector(st, three_lanes, goal=0)
+    def test_dead_end_ends_path(self, three_lanes):
+        assert reference_path(three_lanes, 0, 0, 0).lane_ids == (0,)
+
+
+class TestSettleLaneChange:
+    def merge_network(self):
+        return generate_scene("merge", seed=0).validate()
+
+    def test_target_lost_at_split_gives_up(self):
+        # mid LC_L from lane 0 toward lane 1, past the x = 150 split: the
+        # anchor is now lane 2, and lane 1 (which ended) is not adjacent to it
+        net = self.merge_network()
+        st = make_state(net, (152.0, 1.0), 0.0, 8.0, hint=0)
+        assert st.lane == 2
+        assert settle_lane_change(net, st, Intention(IntentionKind.LC_L, 1)) == LF
+        assert st.lane == 2
+
+    def test_on_target_centerline_completes_and_reanchors(self):
+        net = self.merge_network()
+        st = PhysicalState(100.0, 3.5, 0.0, 8.0, lane=0, s=100.0, d=3.5)
+        assert settle_lane_change(net, st, Intention(IntentionKind.LC_L, 1)) == LF
+        assert (st.lane, st.s, st.d) == (1, pytest.approx(100.0), pytest.approx(0.0))
+
+    def test_under_way_is_kept(self):
+        net = self.merge_network()
+        lc = Intention(IntentionKind.LC_L, 1)
+        st = PhysicalState(100.0, 2.0, 0.1, 8.0, lane=0, s=100.0, d=2.0)
+        assert settle_lane_change(net, st, lc) == lc
+        misaligned = PhysicalState(100.0, 3.5, 0.3, 8.0, lane=0, s=100.0, d=3.5)
+        assert settle_lane_change(net, misaligned, lc) == lc
+        assert (st.lane, misaligned.lane) == (0, 0)
 
 
 def _fork_network():

@@ -134,6 +134,43 @@ class TestConfig:
         cfg = Config.from_file(path)
         assert cfg.k_scenarios == 3 and cfg.n_is == 5
 
+    @pytest.mark.parametrize(
+        "field,value",
+        [
+            ("k_scenarios", 0),
+            ("n_is", 0),
+            ("n_particles", 0),
+            ("lambda_mix", 1.5),
+            ("k_scenarios", "5"),
+            ("n_is", True),
+            ("horizon_s", -1.0),
+            ("gamma", 1.01),
+            ("noise_pos", 0.0),
+            ("max_ms", "fast"),
+            ("variant", 3),
+        ],
+    )
+    def test_bad_value_rejected_by_cli(self, tmp_path, capsys, field, value):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({field: value}))
+        rc = main(["run-once", "--template", "merge", "--config", str(path),
+                   "--out", str(tmp_path / "out")])
+        assert rc == 1
+        assert f"error: {field}: " in capsys.readouterr().err
+        assert not (tmp_path / "out").exists()
+
+    def test_removed_field_rejected_by_cli(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"lambda_reg": 0.0}))
+        rc = main(["run-once", "--template", "merge", "--config", str(path)])
+        assert rc == 1
+        assert "unknown config fields: ['lambda_reg']" in capsys.readouterr().err
+
+    def test_defaults_and_variants_valid(self):
+        for variant in VARIANTS:
+            replace(Config(), variant=variant).resolved()
+        assert Config(max_ms=None, max_expansions=0, horizon_s=4).horizon_s == 4
+
 
 # ----------------------------------------------------------------------
 # comfort metric

@@ -11,8 +11,8 @@ from driveplan.planner import (
     Budget,
     TERMINAL_KEY,
     _key_order,
+    _Search,
     check_bounds,
-    default_policy_value,
     extract_sequence,
     observation_key,
     plan,
@@ -142,7 +142,8 @@ class TestBounds:
             lane = int(rng.integers(0, 3))
             ego = ego_at(three_lanes, rng.uniform(10, 60), 3.5 * lane, rng.uniform(3, 12), lane)
             sc = Scenario(ego=ego, exos=[], noise_seed=int(rng.integers(0, 2**31)))
-            lo = default_policy_value(sc, 0.0, 9.0, three_lanes, W, 0)
+            segs = _Search(three_lanes, W, 9.0, NOISE).lf_rollout(sc, 0.0, 0)
+            lo = sum(seg.reward for seg in segs)
             up = upper_bound_value(sc, 0.0, 9.0, three_lanes, W, 0)
             assert lo <= up + 1e-9
 

@@ -159,7 +159,7 @@ class TestSimulate:
         st, intent = ego, LF
         for k in range(10):
             st, intent = step_driver(st, intent, EGO_STYLE, [], three_lanes, DT, goal_lane=0)
-            assert out.states[k][0] == st
+            assert out.states[k] == st
 
     def test_discount_composition(self, three_lanes):
         # one 4 s LC equals two chained 2 s halves with the exponent carried

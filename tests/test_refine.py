@@ -2,10 +2,12 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as hs
 
 from conftest import parallel_network
 from driveplan.driver import LF, Intention, IntentionKind, StyleParam, make_state
-from driveplan.inference import FilterConfig, init_belief
+from driveplan.inference import FilterConfig, init_belief, sample_scenarios
 from driveplan.observation import AgentObs, Observation
 from driveplan.planner import Budget, plan
 from driveplan.pomdp import (
@@ -14,6 +16,8 @@ from driveplan.pomdp import (
     MacroAction,
     RewardWeights,
     Scenario,
+    extract_observation,
+    legal_actions,
     macro_action,
     simulate,
 )
@@ -23,10 +27,10 @@ from driveplan.refine import (
     cross_evaluate,
     generate_candidates,
     is_feasible,
-    refine,
     replay_value,
     resample,
 )
+from driveplan.scenes import TEMPLATES, generate_scene, ground_truth_agents
 
 W = RewardWeights()
 
@@ -131,7 +135,7 @@ class TestGenerateCandidates:
         cands = generate_candidates([sc], [macro_action(IntentionKind.LF)], three_lanes, W, speed_scales=(1.0,))
         assert len(cands) == 1
         sim = simulate(sc, macro_action(IntentionKind.LF), three_lanes, W)
-        assert cands[0].states == [st for st, _ in sim.states]
+        assert cands[0].states == sim.states
 
     def test_identical_scenarios_dedup(self, three_lanes):
         ego = make_state(three_lanes, (20.0, 0.0), 0.0, 9.0)
@@ -256,8 +260,41 @@ class TestRefineEndToEnd:
     def test_runs_and_selects_feasible(self, three_lanes):
         belief = mid_lane_belief(three_lanes, x=45.0, speed=5.0)
         ego = make_state(three_lanes, (20.0, 3.5), 0.0, 9.0, hint=1)
-        best, ev = refine(
-            belief, ego, [macro_action(IntentionKind.LF)], three_lanes, W, n_is=8, seed=3
+        # the four refinement stages, composed as the harness runs them
+        weighted = resample(build_proposal(belief), belief, 8, seed=3, ego=ego)
+        cands = generate_candidates(
+            [sc for sc, _ in weighted], [macro_action(IntentionKind.LF)], three_lanes, W
         )
+        ev, best = cross_evaluate(cands, weighted, three_lanes, W)
         assert is_feasible(best)
         assert ev.estimates[ev.selected] == max(ev.estimates)
+
+
+class TestReplayAgreesWithSimulate:
+    """Search and refinement score the same joint tick: replaying the
+    nominal (scale 1.0) candidate against its own scenario gives exactly the
+    simulator's reward, over generated scenes and every legal first action."""
+
+    @settings(max_examples=40, deadline=None, derandomize=True, database=None)
+    @given(
+        template=hs.sampled_from(TEMPLATES),
+        scene_seed=hs.integers(0, 10_000),
+        n_exo=hs.integers(1, 4),
+        ego_dx=hs.floats(0.0, 80.0),
+        seed=hs.integers(0, 2**32),
+    )
+    def test_nominal_replay_equals_simulate_reward(
+        self, template, scene_seed, n_exo, ego_dx, seed
+    ):
+        # ego_dx moves the ego forward among the exos, so that some follow it
+        spec = generate_scene(template, seed=scene_seed, n_exo=n_exo)
+        net = spec.validate()
+        truth = {e.id: e.state for e in ground_truth_agents(spec, net)}
+        obs = extract_observation(truth, seed, 0)
+        belief = init_belief(obs, net, FilterConfig(n_particles=8), seed=seed)
+        start = (spec.ego_x + ego_dx, spec.ego_y)
+        ego = make_state(net, start, spec.ego_heading, spec.ego_speed)
+        for sc in sample_scenarios(belief, 2, seed, ego):
+            for action in legal_actions(sc.ego, net, in_progress=sc.ego_intention):
+                (cand,) = generate_candidates([sc], [action], net, W, speed_scales=(1.0,))
+                assert replay_value(cand, sc, net, W) == simulate(sc, action, net, W).reward

@@ -12,7 +12,6 @@ from driveplan.road import (
     RoadError,
     RoadNetwork,
     lane_change_distance,
-    point_at,
     project,
 )
 
@@ -63,7 +62,7 @@ class TestProject:
         for lane in junction_network.lanes.values():
             for _ in range(20):
                 s = rng.uniform(0.0, lane.length)
-                (x, y), _ = point_at(lane, s)
+                (x, y), _ = lane.point_at(s)
                 lid, s2, d2 = project(junction_network, (x, y), hint=lane.id)
                 assert lid == lane.id
                 assert abs(s2 - s) < 0.01
@@ -93,7 +92,6 @@ class TestLaneChangeDistance:
         b = Lane(1, [(0.0, 50.0), (10.0, 50.0)])
         net = RoadNetwork([a, b], goal_lane=0)
         assert lane_change_distance(net, 1, 0) == UNREACHABLE
-        assert net.unreachable == {1}
 
     def test_forward_travel_is_free(self, junction_network):
         assert lane_change_distance(junction_network, 0, 2) == 0
@@ -140,22 +138,22 @@ def _bfs_oracle(net, src, dst):
 class TestPointAt:
     def test_endpoints(self, three_lanes):
         lane = three_lanes.lanes[0]
-        p0, h0 = point_at(lane, 0.0)
+        p0, h0 = lane.point_at(0.0)
         assert p0 == (0.0, 0.0)
         assert h0 == pytest.approx(0.0)
-        p1, _ = point_at(lane, lane.length)
+        p1, _ = lane.point_at(lane.length)
         assert p1 == pytest.approx((200.0, 0.0))
 
     def test_mid_segment_interpolation(self):
         # hand oracle on a two-segment polyline: (0,0)->(3,0)->(3,4)
         lane = Lane(0, [(0.0, 0.0), (3.0, 0.0), (3.0, 4.0)])
-        p, h = point_at(lane, 5.0)
+        p, h = lane.point_at(5.0)
         assert p == pytest.approx((3.0, 2.0))
         assert h == pytest.approx(math.pi / 2)
 
     def test_out_of_range(self, three_lanes):
         with pytest.raises(OutOfRange):
-            point_at(three_lanes.lanes[0], 201.0)
+            three_lanes.lanes[0].point_at(201.0)
 
 
 class TestValidation:
