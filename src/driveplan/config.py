@@ -16,6 +16,7 @@ from dataclasses import asdict, dataclass, fields, replace
 from .inference import FilterConfig
 from .observation import ObservationNoise
 from .pomdp import RewardWeights
+from .util import fits
 
 VARIANTS = ("full", "wo_unc", "wo_is", "h4")
 
@@ -38,7 +39,6 @@ _RANGES = {
     "k_scenarios": (1, math.inf, True),
     "horizon_s": (0.0, math.inf, False),
     "max_expansions": (0, math.inf, True),
-    "max_ms": (0.0, math.inf, False),
     "n_is": (1, math.inf, True),
     "lambda_mix": (0.0, 1.0, True),
     "w_coll": (0.0, math.inf, True),
@@ -53,17 +53,7 @@ _RANGES = {
 
 def _check_field(name: str, kind: str, value) -> None:
     """Raise ConfigError unless value has the field's type and range."""
-    if kind == "float | None" and value is None:
-        return
-    if kind == "str":
-        ok = isinstance(value, str)
-    elif isinstance(value, bool):
-        ok = False
-    elif kind == "int":
-        ok = isinstance(value, int)
-    else:
-        ok = isinstance(value, (int, float)) and math.isfinite(value)
-    if not ok:
+    if not fits(kind, value):
         raise ConfigError(f"{name}: expected {kind}, got {value!r}")
     if name in _RANGES:
         lo, hi, lo_inclusive = _RANGES[name]
@@ -90,7 +80,6 @@ class Config:
     k_scenarios: int = 20
     horizon_s: float = 9.0
     max_expansions: int = 3
-    max_ms: float | None = None
     # trajectory refinement
     n_is: int = 30
     lambda_mix: float = 0.5
@@ -155,10 +144,14 @@ class Config:
         known = {f.name for f in fields(cls)}
         unknown = set(data) - known
         if unknown:
-            raise ConfigError(f"unknown config fields: {sorted(unknown)}")
+            raise ConfigError(f"{', '.join(sorted(unknown))}: unknown config field")
         return cls(**data)
 
     @classmethod
     def from_file(cls, path) -> "Config":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise ConfigError(f"{path}: not valid JSON: {exc}") from None
+        return cls.from_dict(data)

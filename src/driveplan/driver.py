@@ -61,7 +61,6 @@ class IdmParams:
     b: float = 2.0  # comfortable decel, m/s^2
     s0: float = 2.0  # min gap, m
     T: float = 1.5  # time headway, s
-    delta: float = 4.0
     # derived: 2*sqrt(a*b), the denominator of the dynamic gap term
     two_sqrt_ab: float = field(init=False, repr=False, compare=False, default=0.0)
 
@@ -113,16 +112,13 @@ def idm_accel(
     v0: float,
     gap: float,
     lead_speed: float = 0.0,
-    params: IdmParams = DEFAULT_IDM,
-    b_emergency: float = B_EMERGENCY,
 ) -> float:
-    """IDM acceleration; gap=inf means free road. Clamped to [-b_emergency, a]."""
-    if params.delta == 4.0:
-        r = v / v0
-        r *= r
-        free = 1.0 - r * r
-    else:
-        free = 1.0 - (v / v0) ** params.delta
+    """IDM acceleration (DEFAULT_IDM, exponent 4); gap=inf means free road.
+    Clamped to [-B_EMERGENCY, a]."""
+    params = DEFAULT_IDM
+    r = v / v0
+    r *= r
+    free = 1.0 - r * r
     if math.isinf(gap):
         acc = params.a * free
     else:
@@ -133,7 +129,7 @@ def idm_accel(
         dyn = v * params.T + v * dv / params.two_sqrt_ab
         s_star = params.s0 + max(0.0, dyn)
         acc = params.a * (free - (s_star / gap) ** 2)
-    return clamp(acc, -b_emergency, params.a)
+    return clamp(acc, -B_EMERGENCY, params.a)
 
 
 class RefPath:
@@ -205,21 +201,20 @@ def reference_path(
     start_lane: LaneId,
     goal: LaneId | None,
     rng_seed: int,
-    min_length: float = REF_MIN_LENGTH,
 ) -> RefPath:
     """Reference path from start_lane, extended along chosen successors.
 
-    The chain covers the whole start lane plus at least min_length beyond
-    its end (where successors exist), so an agent anywhere on the start
-    lane always has min_length of path ahead to steer toward.
+    The chain covers the whole start lane plus at least REF_MIN_LENGTH
+    beyond its end (where successors exist), so an agent anywhere on the
+    start lane always has REF_MIN_LENGTH of path ahead to steer toward.
     """
-    ref_key = (start_lane, goal, rng_seed, min_length)
+    ref_key = (start_lane, goal, rng_seed)
     cached = network._ref_cache.get(ref_key)
     if cached is not None:
         return cached
     chain = [start_lane]
     length = network.lanes[start_lane].length
-    need = length + min_length
+    need = length + REF_MIN_LENGTH
     while length < need:
         succ = network.lanes[chain[-1]].successors
         if not succ:
@@ -238,9 +233,7 @@ def reference_path(
     return path
 
 
-def _leader_on_path(
-    path: RefPath, arc_self: float, neighbors, vehicle_length: float = VEHICLE_LENGTH
-) -> tuple[float, float]:
+def _leader_on_path(path: RefPath, arc_self: float, neighbors) -> tuple[float, float]:
     """(gap, lead_speed) to the nearest agent ahead on the path, or (inf, 0)."""
     best_gap = math.inf
     best_speed = 0.0
@@ -252,7 +245,7 @@ def _leader_on_path(
         arc = off + other.s
         if arc <= arc_self:
             continue
-        gap = arc - arc_self - vehicle_length
+        gap = arc - arc_self - VEHICLE_LENGTH
         if gap < best_gap:
             best_gap = gap
             best_speed = other.speed
@@ -309,7 +302,6 @@ def step_driver(
     dt: float,
     goal_lane: LaneId | None = None,
     connector_seed: int = 0,
-    idm_params: IdmParams = DEFAULT_IDM,
 ) -> tuple[PhysicalState, Intention]:
     """Advance one agent by dt under its driver model.
 
@@ -327,9 +319,7 @@ def step_driver(
 
     # reference_path's cache probe, inlined: this function is the
     # innermost loop of every simulation and rollout
-    own_path = network._ref_cache.get(
-        (state.lane, goal_lane, connector_seed, REF_MIN_LENGTH)
-    )
+    own_path = network._ref_cache.get((state.lane, goal_lane, connector_seed))
     if own_path is None:
         own_path = reference_path(network, state.lane, goal_lane, connector_seed)
     off = own_path.offsets.get(state.lane)
@@ -362,8 +352,8 @@ def step_driver(
         steer_arc = t_arc
         t_gap, t_speed = _leader_on_path(steer_path, t_arc, neighbors)
         # most constraining of current-lane and target-lane leaders
-        if idm_accel(state.speed, style.v0, t_gap, t_speed, idm_params) < idm_accel(
-            state.speed, style.v0, gap, lead_speed, idm_params
+        if idm_accel(state.speed, style.v0, t_gap, t_speed) < idm_accel(
+            state.speed, style.v0, gap, lead_speed
         ):
             gap, lead_speed = t_gap, t_speed
 
@@ -372,7 +362,7 @@ def step_driver(
         if end_gap < END_STOP_RANGE and end_gap < gap:
             gap, lead_speed = end_gap, 0.0
 
-    accel = idm_accel(state.speed, style.v0, gap, lead_speed, idm_params)
+    accel = idm_accel(state.speed, style.v0, gap, lead_speed)
 
     tx, ty = steer_path.point_xy(steer_arc + lookahead)
     alpha = wrap_angle(math.atan2(ty - state.y, tx - state.x) - state.heading)

@@ -15,7 +15,7 @@ from .config import Config
 from .driver import LC_DONE_D, Intention, LF, make_state, settle_lane_change
 from .driver import step_driver  # noqa: F401  (rebound by perfbench/tracing.py)
 from .inference import exo_agent, init_belief, ml_hypothesis, posterior_style_mean, update
-from .planner import Budget, plan
+from .planner import plan
 from .pomdp import (
     DT,
     Scenario,
@@ -44,14 +44,14 @@ class EpisodeMetrics:
         return asdict(self)
 
 
-def compute_comfort(accels: list[float], dt: float = DT) -> float:
+def compute_comfort(accels: list[float]) -> float:
     """Fraction of ticks with |accel| <= 2.5 m/s^2 and |jerk| <= 4 m/s^3."""
     assert len(accels) >= 2
     ok = 0
     total = 0
     prev = accels[0]
     for a in accels[1:]:
-        jerk = (a - prev) / dt
+        jerk = (a - prev) / DT
         total += 1
         if abs(a) <= COMFORT_ACCEL and abs(jerk) <= COMFORT_JERK:
             ok += 1
@@ -82,7 +82,8 @@ def _belief_summary(belief) -> dict:
 
 
 def _ml_scenario(belief, ego, ego_intention, noise_seed) -> Scenario:
-    """Single maximum-likelihood determinization (the wo_unc ablation)."""
+    """Single maximum-likelihood determinization (the wo_unc ablation; the
+    exo-free scenario on an empty belief)."""
     exos = [
         exo_agent(aid, ml_hypothesis(belief.per_agent[aid])[1])
         for aid in sorted(belief.per_agent)
@@ -103,7 +104,6 @@ def run_episode(
     noise = cfg.observation_noise()
     fcfg = cfg.filter_config()
     weights = cfg.reward_weights()
-    budget = Budget(cfg.max_expansions, cfg.max_ms)
 
     master = mix(spec.seed, seed)
     world_noise_seed = mix(master, 0xB0B)
@@ -125,7 +125,7 @@ def run_episode(
     ]
 
     obs = extract_observation({e.id: e.state for e in exos}, world_noise_seed, 0, noise)
-    belief = init_belief(obs, network, fcfg, seed=mix(master, 1)) if exos else None
+    belief = init_belief(obs, network, fcfg, seed=mix(master, 1))
 
     def on_goal(state) -> bool:
         # same goal test the reward uses: zero lateral hops remaining
@@ -139,19 +139,18 @@ def run_episode(
 
     for tick in range(n_ticks):
         # --- plan ------------------------------------------------------
-        if exos and cfg.variant == "wo_unc":
-            plan_scenarios = [_ml_scenario(belief, ego, ego_intention, mix(master, 2, tick))]
-        elif exos:
-            plan_scenarios = None
-        else:
-            plan_scenarios = [Scenario(ego=ego, exos=[], noise_seed=mix(master, 2, tick),
-                                       ego_intention=ego_intention)]
+        # wo_unc, and any scene without exo-agents, plans on and refines
+        # against the one maximum-likelihood scenario
+        single = cfg.variant == "wo_unc" or not exos
+        plan_scenarios = (
+            [_ml_scenario(belief, ego, ego_intention, mix(master, 2, tick))] if single else None
+        )
         tree = plan(
             belief,
             ego,
             network,
             weights,
-            budget=budget,
+            max_expansions=cfg.max_expansions,
             K=cfg.k_scenarios,
             horizon_s=cfg.horizon_s,
             seed=mix(master, 2, tick),
@@ -161,15 +160,13 @@ def run_episode(
         )
 
         # --- refine ----------------------------------------------------
-        if exos and cfg.variant == "wo_unc":
+        if single:
             weighted = [(plan_scenarios[0], 1.0)]
-        elif exos:
+        else:
             proposal = build_proposal(belief, cfg.lambda_mix)
             weighted = resample(
                 proposal, belief, cfg.n_is, mix(master, 3, tick), ego, ego_intention
             )
-        else:
-            weighted = [(plan_scenarios[0], 1.0)]
         candidates = generate_candidates(
             [sc for sc, _ in weighted], tree.most_likely_sequence or [tree.root_action],
             network, weights,
@@ -197,8 +194,7 @@ def run_episode(
         obs = extract_observation(
             {e.id: e.state for e in exos}, world_noise_seed, tick + 1, noise
         )
-        if exos:
-            belief, _ = update(belief, obs, DT, network, fcfg, seed=mix(master, 4, tick))
+        belief, _ = update(belief, obs, DT, network, fcfg, seed=mix(master, 4, tick))
 
         trace.append(
             {
@@ -212,7 +208,7 @@ def run_episode(
                     str(aid): [oa.x, oa.y, oa.heading, oa.speed]
                     for aid, oa in sorted(obs.agents.items())
                 },
-                "belief": _belief_summary(belief) if exos else {},
+                "belief": _belief_summary(belief),
                 "planner": {
                     "action": tree.root_action.kind.name,
                     "expansions": tree.expansions,

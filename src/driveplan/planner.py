@@ -10,27 +10,26 @@ children, expand one leaf, and back bounds up to the root.
 from __future__ import annotations
 
 import math
-import time
 from dataclasses import dataclass, field
 
 from .driver import Intention, IntentionKind, LF, PhysicalState
 from .inference import JointBelief, sample_scenarios
-from .observation import Observation, ObservationNoise
+from .observation import ObservationNoise
 from .pomdp import (
     ACTION_ORDER,
     DT,
-    EGO_STYLE,
     LF_DURATION,
     MacroAction,
     RewardWeights,
     Scenario,
+    extract_observation,
     goal_distance,
     legal_actions,
     macro_action,
     simulate,
 )
 from .pomdp import scenario_key  # noqa: F401  (rebound by perfbench/tracing.py)
-from .road import RoadNetwork
+from .road import NoLaneWithinRadius, RoadNetwork, project
 
 EPS_GAP = 1e-9
 EPS_NUM = 1e-6
@@ -41,13 +40,6 @@ V_BUCKET = 1.0
 
 #: sentinel observation key for scenarios that terminated (collision)
 TERMINAL_KEY = ("terminal",)
-
-
-@dataclass(frozen=True)
-class Budget:
-    max_expansions: int = 80
-    max_ms: float | None = None  # optional wall-clock bound; breaks replay
-    # determinism across machines when hit, so it is off by default
 
 
 @dataclass
@@ -92,10 +84,17 @@ def _key_order(key: tuple):
     return (key == TERMINAL_KEY, key)
 
 
-def observation_key(obs: Observation, network: RoadNetwork, hints: dict) -> tuple:
-    """Discretized final observation: per agent (lane, 2 m arc bucket, 1 m/s bucket)."""
-    from .road import NoLaneWithinRadius, project
+def observation_key(
+    end: Scenario, tick: int, network: RoadNetwork, noise: ObservationNoise
+) -> tuple:
+    """Discretized observation of a segment's end exo states at `tick`: per
+    agent (lane, 2 m arc bucket, 1 m/s bucket).
 
+    The noisy observation is drawn from (end.noise_seed, tick, agent id) and
+    projected with each agent's end lane as the hint.
+    """
+    obs = extract_observation({e.id: e.state for e in end.exos}, end.noise_seed, tick, noise)
+    hints = {e.id: e.state.lane for e in end.exos}
     parts = []
     for aid in sorted(obs.agents):
         oa = obs.agents[aid]
@@ -109,7 +108,6 @@ def observation_key(obs: Observation, network: RoadNetwork, hints: dict) -> tupl
 
 def upper_bound_value(
     scenario: Scenario,
-    depth_s: float,
     horizon_s: float,
     network: RoadNetwork,
     weights: RewardWeights,
@@ -169,11 +167,11 @@ class _Search:
         sc, t, d = scenario, start_tick, depth_s
         lf = macro_action(IntentionKind.LF)
         while d + LF_DURATION <= self.horizon_s + 1e-9:
-            out = simulate(sc, lf, self.network, self.weights, t, self.noise)
+            out = simulate(sc, lf, self.network, self.weights, t)
             segs.append(out)
             if out.terminal:
                 break
-            sc, t, d = out.end, t + out.ticks, d + LF_DURATION
+            sc, t, d = out.end, t + lf.ticks, d + LF_DURATION
         return segs
 
     def make_leaf(self, scenarios, depth_s, start_tick, rollouts=None) -> BeliefNode:
@@ -188,9 +186,7 @@ class _Search:
         node.rollouts = rollouts
         lo = sum(sum(seg.reward for seg in r) for r in rollouts) / n
         up = sum(
-            upper_bound_value(
-                sc, depth_s, self.horizon_s, self.network, self.weights, start_tick
-            )
+            upper_bound_value(sc, self.horizon_s, self.network, self.weights, start_tick)
             for sc in scenarios
         ) / n
         node.init_lower = node.lower = lo
@@ -208,23 +204,20 @@ class _Search:
                 conts = [r[1:] for r in node.rollouts]
             else:
                 outcomes = [
-                    simulate(
-                        sc, action, self.network, self.weights, node.start_tick, self.noise
-                    )
+                    simulate(sc, action, self.network, self.weights, node.start_tick)
                     for sc in node.scenarios
                 ]
                 conts = [None] * n
             mean_reward = sum(o.reward for o in outcomes) / n
+            child_tick = node.start_tick + action.ticks
             groups: dict[tuple, list] = {}
             for out, cont in zip(outcomes, conts):
                 if out.terminal:
-                    groups.setdefault(TERMINAL_KEY, []).append((out.end, cont))
+                    key = TERMINAL_KEY
                 else:
-                    hints = {e.id: e.state.lane for e in out.end.exos}
-                    key = observation_key(out.final_obs, self.network, hints)
-                    groups.setdefault(key, []).append((out.end, cont))
+                    key = observation_key(out.end, child_tick, self.network, self.noise)
+                groups.setdefault(key, []).append((out.end, cont))
             children = {}
-            child_tick = node.start_tick + action.ticks
             child_depth = node.depth_s + action.duration
             for key in sorted(groups, key=_key_order):
                 ends = [sc for sc, _ in groups[key]]
@@ -347,7 +340,7 @@ def plan(
     ego: PhysicalState,
     network: RoadNetwork,
     weights: RewardWeights = RewardWeights(),
-    budget: Budget = Budget(),
+    max_expansions: int = 80,
     K: int = 20,
     horizon_s: float = 9.0,
     seed: int = 0,
@@ -357,20 +350,17 @@ def plan(
 ) -> PolicyTree:
     """Run the anytime search and return the policy tree.
 
-    Deterministic given (belief, ego, seed, budget.max_expansions); the
-    optional wall-clock bound is checked between expansions. Pre-sampled
-    scenarios may be passed in (the refinement stage reuses them).
+    Deterministic given (belief, ego, seed, max_expansions). Pre-sampled
+    scenarios may be passed in (the harness passes its own for the wo_unc
+    ablation and for scenes without exo-agents).
     """
     if scenarios is None:
         scenarios = sample_scenarios(belief, K, seed, ego, ego_intention)
     search = _Search(network, weights, horizon_s, noise)
     root = search.make_leaf(scenarios, 0.0, 0)
 
-    t0 = time.perf_counter()
     expansions = 0
-    while expansions < budget.max_expansions:
-        if budget.max_ms is not None and (time.perf_counter() - t0) * 1e3 >= budget.max_ms:
-            break
+    while expansions < max_expansions:
         if root.upper - root.lower <= EPS_GAP:
             break
         picked = search.select_leaf(root)
@@ -384,7 +374,7 @@ def plan(
 
     action = best_root_action(root)
     if action is None:  # no expansion happened: fall back to the default policy
-        action = MacroAction(IntentionKind.LF, LF_DURATION, EGO_STYLE)
+        action = macro_action(IntentionKind.LF)
         tree = PolicyTree(action, root, [action], expansions, root.lower, root.upper)
         return tree
     tree = PolicyTree(action, root, [], expansions, root.lower, root.upper)

@@ -7,7 +7,7 @@ style) and all noise draws, so simulate() is a pure function.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -45,9 +45,9 @@ class MacroAction:
         return round(self.duration / DT)
 
 
-def macro_action(kind: IntentionKind, ego_style: StyleParam = EGO_STYLE) -> MacroAction:
+def macro_action(kind: IntentionKind) -> MacroAction:
     dur = LF_DURATION if kind == IntentionKind.LF else LC_DURATION
-    return MacroAction(kind, dur, ego_style)
+    return MacroAction(kind, dur)
 
 
 #: fixed enumeration order for deterministic tie-breaks: LF < LC-L < LC-R
@@ -90,34 +90,17 @@ class SimOutcome:
     reward: float  # discounted from the root tick
     terminal: bool
     end: Scenario  # scenario advanced to the end of the segment
-    ticks: int = 0
-    noise: ObservationNoise = ObservationNoise()
-    start_tick: int = 0
-    _obs: Observation | None = field(default=None, repr=False, compare=False)
-
-    @property
-    def final_obs(self) -> Observation:
-        """Noisy observation of the final exo states, drawn on first access
-        (most simulated segments never have their observation inspected)."""
-        if self._obs is None:
-            end = self.end
-            self._obs = extract_observation(
-                {e.id: e.state for e in end.exos}, end.noise_seed,
-                self.start_tick + self.ticks, self.noise,
-            )
-        return self._obs
 
 
 def legal_actions(
     ego: PhysicalState,
     network: RoadNetwork,
     in_progress: Intention | None = None,
-    ego_style: StyleParam = EGO_STYLE,
 ) -> list[MacroAction]:
     """Feasible macro-actions: LF always; LC only toward an existing neighbor
     and never sideways while another LC is still mid-execution."""
     lane = network.lanes[ego.lane]
-    out = [macro_action(IntentionKind.LF, ego_style)]
+    out = [macro_action(IntentionKind.LF)]
     mid_lc = in_progress is not None and in_progress.kind != IntentionKind.LF
     for kind, neighbor in (
         (IntentionKind.LC_L, lane.left_neighbor),
@@ -126,9 +109,9 @@ def legal_actions(
         if mid_lc and in_progress.kind != kind:
             continue
         if mid_lc and in_progress.kind == kind:
-            out.append(macro_action(kind, ego_style))
+            out.append(macro_action(kind))
         elif neighbor is not None:
-            out.append(macro_action(kind, ego_style))
+            out.append(macro_action(kind))
     return out
 
 
@@ -143,15 +126,14 @@ def step_reward(
     collided: bool,
     lc_initiated: bool,
     weights: RewardWeights,
-    dt: float = DT,
 ) -> float:
     """Per-tick penalty: cubic collision, linear speed deviation,
     exponential goal-lane deviation, constant lane-change charge."""
     r = 0.0
     if collided:
         r -= weights.w_coll * (1.0 + ego_speed) ** 3
-    r -= weights.w_eff * abs(ego_speed - weights.v_des_ego) * dt
-    r -= weights.w_goal * (math.exp(weights.k_goal * d_goal) - 1.0) * dt
+    r -= weights.w_eff * abs(ego_speed - weights.v_des_ego) * DT
+    r -= weights.w_goal * (math.exp(weights.k_goal * d_goal) - 1.0) * DT
     if lc_initiated:
         r -= weights.w_lc
     return r
@@ -264,15 +246,13 @@ def simulate(
     network: RoadNetwork,
     weights: RewardWeights = RewardWeights(),
     start_tick: int = 0,
-    noise: ObservationNoise = ObservationNoise(),
 ) -> SimOutcome:
     """Roll the joint state forward for one macro-action.
 
     Each tick the ego runs the action's driver model against the exo
     states of the previous tick, then advance() steps the exo-agents under
     their scenario (m, theta) and scores the tick. Rewards are discounted
-    by gamma^tick from the root. Observation noise is drawn only for the
-    final observation.
+    by gamma^tick from the root.
     """
     ego = scenario.ego
     ego_intent, initiated = _bind_ego_intention(
@@ -307,4 +287,4 @@ def simulate(
             break
 
     end = Scenario(ego=ego, exos=exos, noise_seed=scenario.noise_seed, ego_intention=ego_intent)
-    return SimOutcome(states, reward, terminal, end, len(states), noise, start_tick)
+    return SimOutcome(states, reward, terminal, end)

@@ -47,7 +47,6 @@ class Proposal:
 @dataclass
 class Candidate:
     states: list[PhysicalState]  # ego pose/speed per tick, dt = 0.2 s
-    source_scenario: int
     speed_scale: float
     lc_initiated: bool = False
 
@@ -128,7 +127,7 @@ def generate_candidates(
     first = planned_sequence[0]
     out: list[Candidate] = []
     seen: set = set()
-    for idx, sc in enumerate(scenarios):
+    for sc in scenarios:
         if len(seen) >= MAX_SOURCES:
             break
         key = _scenario_key(sc)
@@ -142,7 +141,7 @@ def generate_candidates(
             )
             action = MacroAction(first.kind, first.duration, style)
             sim = simulate(sc, action, network, weights, start_tick=0)
-            cand = Candidate(sim.states, idx, scale, lc_initiated=initiated)
+            cand = Candidate(sim.states, scale, lc_initiated=initiated)
             if not any(_close(cand, kept) for kept in out):
                 out.append(cand)
     return out

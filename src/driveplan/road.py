@@ -38,7 +38,6 @@ class Lane:
     successors: tuple[LaneId, ...] = ()
     left_neighbor: LaneId | None = None
     right_neighbor: LaneId | None = None
-    is_connector: bool = False
 
     # derived geometry, filled in __post_init__
     cum: list[float] = field(default_factory=list, repr=False)
@@ -134,8 +133,7 @@ class RoadNetwork:
         self.goal_lane = goal_lane
         self.max_width = max(ln.width for ln in lanes)
         self._validate()
-        self._hops_to_goal = self._hops_from(goal_lane, reverse=True)
-        self._hop_cache: dict[tuple[LaneId, LaneId], float] = {}
+        self._hops_to_goal = self._hops_to(goal_lane)
         self._adj_cache: dict[LaneId, list[LaneId]] = {}
         self._path_cache: dict = {}  # used by driver.reference_path
         self._ref_cache: dict = {}  # (start_lane, goal, rng_seed) -> RefPath
@@ -158,12 +156,9 @@ class RoadNetwork:
                 if self.lanes[ln.right_neighbor].left_neighbor != ln.id:
                     raise RoadError(f"asymmetric neighbor pair {ln.id}/{ln.right_neighbor}")
 
-    def _hops_from(self, target: LaneId, reverse: bool) -> dict[LaneId, int]:
-        """0-1 BFS hop counts to `target`: successor moves free, neighbor moves cost 1.
-
-        With reverse=True edges are traversed backwards, giving hops from
-        every lane to `target`.
-        """
+    def _hops_to(self, target: LaneId) -> dict[LaneId, int]:
+        """Hop counts from every lane to `target`: a 0-1 BFS over reversed
+        edges, where successor moves are free and neighbor moves cost 1."""
         preds: dict[LaneId, list[LaneId]] = {lid: [] for lid in self.lanes}
         for ln in self.lanes.values():
             for suc in ln.successors:
@@ -175,8 +170,7 @@ class RoadNetwork:
             if d > dist.get(lid, math.inf):
                 continue  # stale entry
             ln = self.lanes[lid]
-            forward = preds[lid] if reverse else list(ln.successors)
-            for nxt in forward:
+            for nxt in preds[lid]:
                 if d < dist.get(nxt, math.inf):
                     dist[nxt] = d
                     dq.appendleft((d, nxt))
@@ -213,8 +207,6 @@ def project(
     """
     x, y = position
     lanes = network.lanes
-    if not lanes:
-        raise RoadError("empty network")
 
     global_best = None
     remaining_tiers: list[list[LaneId]] = []
@@ -257,13 +249,6 @@ def lane_change_distance(network: RoadNetwork, from_lane: LaneId, to_lane: LaneI
     """
     if from_lane not in network.lanes or to_lane not in network.lanes:
         raise RoadError("unknown lane")
-    if to_lane == network.goal_lane:
-        return float(network._hops_to_goal.get(from_lane, UNREACHABLE))
-    key = (from_lane, to_lane)
-    cached = network._hop_cache.get(key)
-    if cached is None:
-        dist = network._hops_from(to_lane, reverse=True)
-        cached = float(dist.get(from_lane, UNREACHABLE))
-        network._hop_cache[key] = cached
-    return cached
+    hops = network._hops_to_goal if to_lane == network.goal_lane else network._hops_to(to_lane)
+    return float(hops.get(from_lane, UNREACHABLE))
 

@@ -1,24 +1,23 @@
 """Scenario specifications and synthetic scene generation.
 
-A ScenarioSpec is a fully self-contained episode description: road
-network, ego start and goal, per exo-agent ground truth (initial state,
-intention, style), observation noise, episode length, and the master
-seed. Templates generate families of specs at desk scale in place of
-recorded datasets.
+A ScenarioSpec describes the world of one episode: road network, ego
+start and goal, per exo-agent ground truth (initial state, intention,
+style), episode length, and the master seed. Observation noise belongs to
+the run's Config, not to the spec. Templates generate families of specs
+at desk scale in place of recorded datasets.
 """
 from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass, field
+from dataclasses import MISSING, asdict, dataclass, field, fields
 
 import numpy as np
 
 from .driver import Intention, IntentionKind, LF, StyleParam, make_state
-from .observation import ObservationNoise
 from .pomdp import DT, ExoAgent
-from .road import Lane, LaneId, RoadError, RoadNetwork
-from .util import mix
+from .road import Lane, LaneId, NoLaneWithinRadius, RoadError, RoadNetwork, project
+from .util import fits, mix
 
 TEMPLATES = ("merge", "junction", "multilane")
 LANE_WIDTH = 3.5
@@ -44,7 +43,6 @@ class LaneSpec:
     successors: list[int] = field(default_factory=list)
     left_neighbor: int | None = None
     right_neighbor: int | None = None
-    is_connector: bool = False
 
 
 @dataclass
@@ -71,9 +69,6 @@ class ScenarioSpec:
     ego_heading: float
     ego_speed: float
     exos: list[ExoSpec] = field(default_factory=list)
-    noise_pos: float = 0.3
-    noise_heading: float = 0.05
-    noise_speed: float = 0.3
     episode_s: float = 40.0
     seed: int = 0
 
@@ -82,12 +77,26 @@ class ScenarioSpec:
         return asdict(self)
 
     @classmethod
-    def from_dict(cls, data: dict) -> "ScenarioSpec":
-        lanes = [LaneSpec(**{**ls, "centerline": [tuple(p) for p in ls["centerline"]]})
-                 for ls in data["lanes"]]
-        exos = [ExoSpec(**e) for e in data.get("exos", [])]
-        rest = {k: v for k, v in data.items() if k not in ("lanes", "exos")}
-        return cls(lanes=lanes, exos=exos, **rest)
+    def from_dict(cls, data) -> "ScenarioSpec":
+        """The spec a JSON document describes.
+
+        Raises SpecValidationError naming the unknown and missing keys of
+        the first part that has any, or a part that is not an object;
+        validate() checks the values.
+        """
+        top = _keys_checked(cls, data, "")
+        parts = {}
+        for name, part in (("lanes", LaneSpec), ("exos", ExoSpec)):
+            items = top.get(name, [])
+            if not isinstance(items, list):
+                raise SpecValidationError([f"{name}: expected a list, got {items!r}"])
+            parts[name] = [
+                part(**_keys_checked(part, item, f"{name}[{i}]"))
+                for i, item in enumerate(items)
+            ]
+        for ls in parts["lanes"]:
+            ls.centerline = _points(ls.centerline)
+        return cls(**{**top, **parts})
 
     def save(self, path):
         with open(path, "w") as fh:
@@ -96,12 +105,27 @@ class ScenarioSpec:
     @classmethod
     def load(cls, path) -> "ScenarioSpec":
         with open(path) as fh:
-            return cls.from_dict(json.load(fh))
+            try:
+                data = json.load(fh)
+            except ValueError as exc:  # malformed JSON or undecodable bytes
+                raise SpecValidationError([f"{path}: not valid JSON: {exc}"]) from None
+        return cls.from_dict(data)
 
     # ------------------------------------------------------------------
     def validate(self) -> RoadNetwork:
-        """Check the spec and return the constructed network."""
-        problems = []
+        """Check the spec and return the constructed network.
+
+        Raises SpecValidationError listing every problem: a value of the
+        wrong type or a non-finite number, a bad reference or range, and an
+        ego or exo start that projects onto no lane.
+        """
+        problems = _type_problems(self, "")
+        for i, ls in enumerate(self.lanes):
+            problems += _type_problems(ls, f"lanes[{i}].")
+        for i, e in enumerate(self.exos):
+            problems += _type_problems(e, f"exos[{i}].")
+        if problems:
+            raise SpecValidationError(problems)
         lane_ids = {ls.id for ls in self.lanes}
         if len(lane_ids) != len(self.lanes):
             problems.append("lanes: duplicate ids")
@@ -112,9 +136,6 @@ class ScenarioSpec:
             problems.append(f"episode_s: {self.episode_s} not a positive multiple of {DT}")
         if self.ego_speed < 0:
             problems.append("ego_speed: negative")
-        for st in (self.noise_pos, self.noise_heading, self.noise_speed):
-            if st <= 0:
-                problems.append(f"noise std: {st} must be > 0")
         seen = set()
         for e in self.exos:
             tag = f"exo {e.id}"
@@ -132,18 +153,63 @@ class ScenarioSpec:
                     problems.append(f"{tag}: target_lane {e.target_lane} not a lane")
             if e.v0 <= 0:
                 problems.append(f"{tag}: non-positive v0")
+            if e.lookahead <= 0:
+                problems.append(f"{tag}: non-positive lookahead")
         network = None
         if not problems:
             try:
                 network = build_network(self)
             except RoadError as exc:
                 problems.append(f"lanes: {exc}")
+        if network is not None:
+            starts = [("ego", self.ego_x, self.ego_y)]
+            starts += [(f"exo {e.id}", e.x, e.y) for e in self.exos]
+            for tag, x, y in starts:
+                try:
+                    project(network, (x, y))
+                except NoLaneWithinRadius as exc:
+                    problems.append(f"{tag}: start ({x}, {y}) is on no lane: {exc}")
         if problems:
             raise SpecValidationError(problems)
         return network
 
     def n_ticks(self) -> int:
         return round(self.episode_s / DT)
+
+
+def _keys_checked(cls, data, path: str) -> dict:
+    """data, the JSON form of dataclass cls at `path`; raises
+    SpecValidationError naming each unknown or missing key, or data that
+    is not an object."""
+    if not isinstance(data, dict):
+        raise SpecValidationError([f"{path or 'spec'}: expected a JSON object, got {data!r}"])
+    prefix = f"{path}." if path else ""
+    known = {f.name: f for f in fields(cls)}
+    problems = [f"{prefix}{k}: unknown field" for k in data if k not in known]
+    problems += [
+        f"{prefix}{k}: missing"
+        for k, f in known.items()
+        if k not in data and f.default is MISSING and f.default_factory is MISSING
+    ]
+    if problems:
+        raise SpecValidationError(problems)
+    return data
+
+
+def _points(centerline):
+    """JSON [x, y] pairs as tuples; any other shape is left for validate()."""
+    if not isinstance(centerline, list):
+        return centerline
+    return [tuple(p) if isinstance(p, list) else p for p in centerline]
+
+
+def _type_problems(obj, prefix: str) -> list[str]:
+    """One problem per field of dataclass obj whose value misfits its annotation."""
+    return [
+        f"{prefix}{f.name}: expected {f.type}, got {getattr(obj, f.name)!r}"
+        for f in fields(obj)
+        if not fits(f.type, getattr(obj, f.name))
+    ]
 
 
 def build_network(spec: ScenarioSpec) -> RoadNetwork:
@@ -155,7 +221,6 @@ def build_network(spec: ScenarioSpec) -> RoadNetwork:
             successors=tuple(ls.successors),
             left_neighbor=ls.left_neighbor,
             right_neighbor=ls.right_neighbor,
-            is_connector=ls.is_connector,
         )
         for ls in spec.lanes
     ]
@@ -179,10 +244,11 @@ def ground_truth_agents(spec: ScenarioSpec, network: RoadNetwork) -> list[ExoAge
 # templates
 
 
-def _merge_lanes(main_length: float = 800.0) -> list[LaneSpec]:
-    """Two through lanes split at x = 150, plus a ramp merging into the
-    right lane's second segment."""
+def _merge_lanes() -> list[LaneSpec]:
+    """Two 800 m through lanes split at x = 150, plus a ramp merging into
+    the right lane's second segment."""
     split = 150.0
+    main_length = 800.0
     right1 = LaneSpec(0, [(0.0, 0.0), (split, 0.0)], successors=[2], left_neighbor=1)
     left1 = LaneSpec(1, [(0.0, LANE_WIDTH), (split, LANE_WIDTH)], successors=[3], right_neighbor=0)
     right2 = LaneSpec(2, [(split, 0.0), (main_length, 0.0)], left_neighbor=3)
@@ -192,7 +258,6 @@ def _merge_lanes(main_length: float = 800.0) -> list[LaneSpec]:
         5,
         [(110.0, -6.0), (125.0, -5.0), (138.0, -3.0), (146.0, -1.2), (split, 0.0)],
         successors=[2],
-        is_connector=True,
     )
     return [right1, left1, right2, left2, ramp, conn]
 
@@ -263,7 +328,7 @@ def _junction(seed: int, n_exo: int) -> ScenarioSpec:
     ]
     lanes = [
         LaneSpec(0, [(-80.0, 0.0), (50.0, 0.0)], successors=[1, 3]),
-        LaneSpec(1, arc, successors=[2], is_connector=True),
+        LaneSpec(1, arc, successors=[2]),
         LaneSpec(2, [(70.0, 20.0), (70.0, 400.0)]),
         LaneSpec(3, [(50.0, 0.0), (400.0, 0.0)]),
     ]

@@ -30,5 +30,30 @@ def wrap_angle(a: float) -> float:
     return a - math.pi
 
 
+def fits(kind: str, value) -> bool:
+    """Whether value has the type that a dataclass field annotation names:
+    str, int, float (finite; a bool is neither number), tuple[float,
+    float], or an optional or a list of those. Any other kind names a
+    dataclass, whose fields are checked on their own, and fits.
+    """
+    if kind.endswith(" | None"):
+        return value is None or fits(kind[: -len(" | None")], value)
+    if kind.startswith("list["):
+        return isinstance(value, (list, tuple)) and all(fits(kind[5:-1], v) for v in value)
+    if kind == "tuple[float, float]":
+        return isinstance(value, (list, tuple)) and len(value) == 2 and all(
+            fits("float", v) for v in value
+        )
+    if kind == "str":
+        return isinstance(value, str)
+    if kind in ("int", "float") and isinstance(value, bool):
+        return False
+    if kind == "int":
+        return isinstance(value, int)
+    if kind == "float":
+        return isinstance(value, (int, float)) and math.isfinite(value)
+    return True
+
+
 def clamp(x: float, lo: float, hi: float) -> float:
     return lo if x < lo else hi if x > hi else x

@@ -34,7 +34,7 @@ def connector_arc(lid, radius=20.0, n_pts=9, **kw):
     for i in range(n_pts):
         a = (math.pi / 2) * i / (n_pts - 1)
         pts.append((radius * math.sin(a), radius * (1 - math.cos(a))))
-    return Lane(lid, pts, width=LANE_W, is_connector=True, **kw)
+    return Lane(lid, pts, width=LANE_W, **kw)
 
 
 @pytest.fixture

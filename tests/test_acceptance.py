@@ -28,7 +28,7 @@ from driveplan.inference import (
     update,
 )
 from driveplan.observation import ObservationNoise
-from driveplan.planner import Budget, check_bounds, plan
+from driveplan.planner import check_bounds, plan
 from driveplan.pomdp import (
     DT,
     LC_DURATION,
@@ -163,7 +163,7 @@ def test_criterion_4_planner_oracle_equivalence(capsys):
     for _ in range(n):
         net, ego, scenarios = random_micro_instance(rng)
         tree = plan(
-            None, ego, net, W, budget=Budget(max_expansions=100_000),
+            None, ego, net, W, max_expansions=100_000,
             horizon_s=4.0, scenarios=scenarios,
         )
         oracle = expectimax(scenarios, 0.0, 0, 4.0, net, W)
@@ -279,7 +279,7 @@ def test_criterion_8_timing_constants(capsys):
     ok = ok and len(simulate(sc, macro_action(IntentionKind.LC_R), net, W).states) == 20
 
     tree = plan(
-        None, ego, net, W, budget=Budget(max_expansions=60),
+        None, ego, net, W, max_expansions=60,
         horizon_s=9.0, scenarios=[sc],
     )
     max_depth = 0.0

@@ -1,6 +1,7 @@
 """Tests for scenario specs, configuration, the episode harness, and the CLI."""
 import json
-from dataclasses import replace
+import math
+from dataclasses import fields, replace
 
 import pytest
 
@@ -86,6 +87,53 @@ class TestScenes:
         with pytest.raises(SpecValidationError):
             spec.validate()
 
+    @pytest.mark.parametrize(
+        "part,name,value",
+        [(None, "ego_x", math.nan), (None, "ego_speed", math.inf), ("exos", "x", math.nan),
+         ("lanes", "width", math.nan), (None, "episode_s", math.nan), (None, "goal_lane", "3")],
+    )
+    def test_validation_rejects_bad_values(self, part, name, value):
+        spec = generate_scene("merge", seed=0)
+        setattr(getattr(spec, part)[0] if part else spec, name, value)
+        with pytest.raises(SpecValidationError) as err:
+            spec.validate()
+        where = f"{part}[0].{name}" if part else name
+        assert any(m.startswith(f"{where}: expected ") for m in err.value.problems)
+
+    def test_validation_rejects_off_network_starts(self):
+        spec = generate_scene("merge", seed=0)
+        spec.exos[1].y = 500.0
+        spec.ego_y = -500.0
+        with pytest.raises(SpecValidationError) as err:
+            spec.validate()
+        msgs = err.value.problems
+        assert any(m.startswith(f"exo {spec.exos[1].id}: start ") for m in msgs)
+        assert any(m.startswith("ego: start ") for m in msgs)
+
+    def test_every_scalar_field_changes_the_episode(self):
+        # a spec field an episode ignores makes a silently wrong episode
+        base = generate_scene("merge", seed=0, n_exo=2)
+        base.episode_s = 2 * DT
+        cfg = replace(QUICK, max_expansions=1)
+        trace = run_episode(base, cfg)[1]
+        header, ticks = trace[0], [r for r in trace if r["record"] == "tick"]
+        scalars = [f.name for f in fields(ScenarioSpec)
+                   if not isinstance(getattr(base, f.name), list)]
+        assert len(scalars) == 8
+        for name in scalars:
+            value = getattr(base, name)
+            if isinstance(value, str):  # the name labels the episode, in the header
+                changed = replace(base, **{name: value + "x"})
+                assert run_episode(changed, cfg)[1][0]["spec"] != header["spec"]
+                continue
+            changed = replace(base, **{name: value + (1 if isinstance(value, int) else 0.4)})
+            try:
+                changed.validate()
+            except SpecValidationError:
+                continue
+            trace = run_episode(changed, cfg)[1]
+            assert [r for r in trace if r["record"] == "tick"] != ticks, name
+
     def test_merge_has_ambiguous_cutter(self):
         spec = generate_scene("merge", seed=0)
         cutter = spec.exos[0]
@@ -160,16 +208,17 @@ class TestConfig:
         assert not (tmp_path / "out").exists()
 
     def test_removed_field_rejected_by_cli(self, tmp_path, capsys):
-        path = tmp_path / "cfg.json"
-        path.write_text(json.dumps({"lambda_reg": 0.0}))
-        rc = main(["run-once", "--template", "merge", "--config", str(path)])
-        assert rc == 1
-        assert "unknown config fields: ['lambda_reg']" in capsys.readouterr().err
+        for field, value in (("lambda_reg", 0.0), ("max_ms", 50.0)):
+            path = tmp_path / "cfg.json"
+            path.write_text(json.dumps({field: value}))
+            rc = main(["run-once", "--template", "merge", "--config", str(path)])
+            assert rc == 1
+            assert f"error: {field}: unknown config field" in capsys.readouterr().err
 
     def test_defaults_and_variants_valid(self):
         for variant in VARIANTS:
             replace(Config(), variant=variant).resolved()
-        assert Config(max_ms=None, max_expansions=0, horizon_s=4).horizon_s == 4
+        assert Config(max_expansions=0, horizon_s=4).horizon_s == 4
 
 
 # ----------------------------------------------------------------------
@@ -334,6 +383,66 @@ class TestCli:
         spec.save(bad)
         assert main(["validate-spec", "--spec", str(bad)]) == 1
         assert "goal_lane" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "edit,field",
+        [
+            pytest.param(lambda d: d.update(noise_pos=0.3), "noise_pos",
+                         id="unknown-top-level-key"),
+            pytest.param(lambda d: d["lanes"][5].update(is_connector=True),
+                         "lanes[5].is_connector", id="unknown-lane-key"),
+            pytest.param(lambda d: d["exos"][0].update(colour="red"), "exos[0].colour",
+                         id="unknown-exo-key"),
+            pytest.param(lambda d: d.pop("lanes"), "lanes", id="missing-key"),
+            pytest.param(lambda d: d["lanes"][0].pop("centerline"), "lanes[0].centerline",
+                         id="missing-lane-key"),
+            pytest.param(lambda d: d["exos"][1].pop("x"), "exos[1].x", id="missing-exo-key"),
+            pytest.param(lambda d: d.update(lanes={}), "lanes", id="lanes-not-a-list"),
+            pytest.param(lambda d: d["lanes"].append(7), "lanes[6]", id="lane-not-an-object"),
+            pytest.param(lambda d: d["lanes"][0].update(centerline=[1, 2]),
+                         "lanes[0].centerline", id="bad-centerline"),
+            pytest.param(lambda d: d["exos"][0].update(x=math.nan), "exos[0].x",
+                         id="nan-position"),
+            pytest.param(lambda d: d.update(ego_speed="fast"), "ego_speed", id="string-speed"),
+            pytest.param(lambda d: d["exos"][0].update(y=500.0), "exo 1", id="off-network-exo"),
+        ],
+    )
+    def test_bad_spec_file_rejected_by_cli(self, tmp_path, capsys, edit, field):
+        data = json.loads(json.dumps(generate_scene("merge", seed=0).to_dict()))
+        edit(data)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        assert main(["validate-spec", "--spec", str(path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and f"{field}:" in err, err
+
+    @pytest.mark.parametrize(
+        "text", ["{", "[1, 2]", "\"merge\"", "\xff\xfe"],
+        ids=["truncated", "list", "string", "bytes"],
+    )
+    def test_malformed_spec_document_rejected_by_cli(self, tmp_path, capsys, text):
+        path = tmp_path / "spec.json"
+        path.write_bytes(text.encode("latin-1"))
+        assert main(["validate-spec", "--spec", str(path)]) == 1
+        assert "error: " in capsys.readouterr().err
+
+    def test_old_spec_file_rejected_by_run_once(self, tmp_path, capsys):
+        data = generate_scene("merge", seed=0).to_dict()
+        data.update(noise_pos=0.3, noise_heading=0.05, noise_speed=0.3)
+        path = tmp_path / "spec.json"
+        path.write_text(json.dumps(data))
+        rc = main(["run-once", "--spec", str(path), "--out", str(tmp_path / "out")])
+        assert rc == 1
+        err = capsys.readouterr().err
+        assert "noise_pos: unknown field" in err and "noise_speed: unknown field" in err
+        assert not (tmp_path / "out").exists()
+
+    def test_malformed_config_rejected_by_cli(self, tmp_path, capsys):
+        path = tmp_path / "cfg.json"
+        path.write_text("{'k_scenarios': 3}")
+        rc = main(["run-once", "--template", "merge", "--config", str(path)])
+        assert rc == 1
+        assert "not valid JSON" in capsys.readouterr().err
 
     def test_missing_file_exit_code(self, capsys):
         assert main(["validate-spec", "--spec", "/nonexistent.json"]) == 1

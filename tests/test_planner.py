@@ -8,7 +8,6 @@ from driveplan.driver import LF, IntentionKind, StyleParam, make_state
 from driveplan.inference import FilterConfig, init_belief
 from driveplan.observation import AgentObs, Observation, ObservationNoise
 from driveplan.planner import (
-    Budget,
     TERMINAL_KEY,
     _key_order,
     _Search,
@@ -32,7 +31,7 @@ from driveplan.pomdp import (
 
 W = RewardWeights()
 NOISE = ObservationNoise()
-BIG = Budget(max_expansions=100_000)
+BIG = 100_000  # expansions: enough to close every gap
 
 
 def ego_at(net, x, y, speed=10.0, hint=None):
@@ -65,19 +64,20 @@ def expectimax(scenarios, depth_s, start_tick, horizon_s, net, weights):
         action = macro_action(kind)
         if depth_s + action.duration > horizon_s + 1e-9:
             continue
-        outs = [simulate(sc, action, net, weights, start_tick, NOISE) for sc in scenarios]
+        outs = [simulate(sc, action, net, weights, start_tick) for sc in scenarios]
         value = sum(o.reward for o in outs) / len(scenarios)
         groups = {}
+        child_tick = start_tick + action.ticks
         for out in outs:
             if out.terminal:
                 continue
-            hints = {e.id: e.state.lane for e in out.end.exos}
-            groups.setdefault(observation_key(out.final_obs, net, hints), []).append(out.end)
+            key = observation_key(out.end, child_tick, net, NOISE)
+            groups.setdefault(key, []).append(out.end)
         for subset in groups.values():
             v = expectimax(
                 subset,
                 depth_s + action.duration,
-                start_tick + action.ticks,
+                child_tick,
                 horizon_s,
                 net,
                 weights,
@@ -125,7 +125,7 @@ class TestOracleEquivalence:
                 ego,
                 net,
                 W,
-                budget=BIG,
+                max_expansions=BIG,
                 horizon_s=4.0,
                 scenarios=scenarios,
             )
@@ -144,25 +144,25 @@ class TestBounds:
             sc = Scenario(ego=ego, exos=[], noise_seed=int(rng.integers(0, 2**31)))
             segs = _Search(three_lanes, W, 9.0, NOISE).lf_rollout(sc, 0.0, 0)
             lo = sum(seg.reward for seg in segs)
-            up = upper_bound_value(sc, 0.0, 9.0, three_lanes, W, 0)
+            up = upper_bound_value(sc, 9.0, three_lanes, W, 0)
             assert lo <= up + 1e-9
 
     def test_upper_bound_dominates_lane_change_rollout(self, three_lanes):
         # the optimistic bound must beat an actual greedy goal-seeking rollout
         ego = ego_at(three_lanes, 30.0, 7.0, 10.0, hint=2)
         sc = Scenario(ego=ego, exos=[], noise_seed=3)
-        up = upper_bound_value(sc, 0.0, 9.0, three_lanes, W, 0)
+        up = upper_bound_value(sc, 9.0, three_lanes, W, 0)
         total, t, d = 0.0, 0, 0.0
-        out = simulate(sc, macro_action(IntentionKind.LC_R), three_lanes, W, 0, NOISE)
+        out = simulate(sc, macro_action(IntentionKind.LC_R), three_lanes, W, 0)
         total += out.reward
-        out2 = simulate(out.end, macro_action(IntentionKind.LC_R), three_lanes, W, out.ticks, NOISE)
+        out2 = simulate(out.end, macro_action(IntentionKind.LC_R), three_lanes, W, len(out.states))
         total += out2.reward
         assert total <= up + 1e-9
 
     def test_upper_bound_zero_on_goal_lane(self, three_lanes):
         ego = ego_at(three_lanes, 30.0, 0.0, 10.0)
         sc = Scenario(ego=ego, exos=[], noise_seed=3)
-        assert upper_bound_value(sc, 0.0, 9.0, three_lanes, W, 0) == 0.0
+        assert upper_bound_value(sc, 9.0, three_lanes, W, 0) == 0.0
 
     def test_upper_bound_monotone_in_goal_distance(self):
         net = parallel_network(n_lanes=4, length=300, goal=0)
@@ -170,7 +170,7 @@ class TestBounds:
         for lane in range(4):
             ego = ego_at(net, 30.0, 3.5 * lane, 10.0, hint=lane)
             sc = Scenario(ego=ego, exos=[], noise_seed=1)
-            vals.append(upper_bound_value(sc, 0.0, 9.0, net, W, 0))
+            vals.append(upper_bound_value(sc, 9.0, net, W, 0))
         assert vals == sorted(vals, reverse=True)
 
     def test_sandwich_holds_under_small_budget(self, three_lanes):
@@ -178,7 +178,9 @@ class TestBounds:
         slow = exo(three_lanes, 1, 55.0, 3.5, 4.0, v0=4.0, hint=1)
         sc = [Scenario(ego=ego, exos=[ExoAgent(1, slow.state, LF, slow.style, 1)], noise_seed=i) for i in range(3)]
         for budget in (1, 3, 7):
-            tree = plan(None, ego, three_lanes, W, Budget(budget), horizon_s=9.0, scenarios=sc)
+            tree = plan(
+                None, ego, three_lanes, W, max_expansions=budget, horizon_s=9.0, scenarios=sc
+            )
             check_bounds(tree.root)
 
 
@@ -192,7 +194,7 @@ class TestAnytime:
         ]
         lowers, uppers = [], []
         for n in range(0, 40, 4):
-            tree = plan(None, ego, three_lanes, W, Budget(n), horizon_s=9.0, scenarios=sc)
+            tree = plan(None, ego, three_lanes, W, max_expansions=n, horizon_s=9.0, scenarios=sc)
             lowers.append(tree.root_lower)
             uppers.append(tree.root_upper)
         assert all(b >= a - 1e-12 for a, b in zip(lowers, lowers[1:]))
@@ -201,7 +203,7 @@ class TestAnytime:
     def test_zero_budget_falls_back_to_lane_follow(self, three_lanes):
         ego = ego_at(three_lanes, 30.0, 3.5, 9.0, hint=1)
         sc = [Scenario(ego=ego, exos=[], noise_seed=0)]
-        tree = plan(None, ego, three_lanes, W, Budget(0), scenarios=sc)
+        tree = plan(None, ego, three_lanes, W, max_expansions=0, scenarios=sc)
         assert tree.root_action.kind == IntentionKind.LF
         assert tree.expansions == 0
 
@@ -214,7 +216,7 @@ class TestTreeStructure:
             Scenario(ego=ego, exos=[ExoAgent(1, mover.state, LF, mover.style, 1)], noise_seed=i)
             for i in range(6)
         ]
-        return plan(None, ego, three_lanes, W, Budget(30), horizon_s=9.0, scenarios=sc)
+        return plan(None, ego, three_lanes, W, max_expansions=30, horizon_s=9.0, scenarios=sc)
 
     def test_children_partition_parent_scenarios(self, three_lanes):
         tree = self._tree(three_lanes)
@@ -245,8 +247,8 @@ class TestDeterminism:
         truth = make_state(three_lanes, (55.0, 3.5), 0.0, 5.0, hint=1)
         belief = init_belief(obs_of({1: truth}), three_lanes, FilterConfig(n_particles=30), seed=2)
         ego = ego_at(three_lanes, 30.0, 3.5, 9.0, hint=1)
-        a = plan(belief, ego, three_lanes, W, Budget(20), K=8, seed=5)
-        b = plan(belief, ego, three_lanes, W, Budget(20), K=8, seed=5)
+        a = plan(belief, ego, three_lanes, W, max_expansions=20, K=8, seed=5)
+        b = plan(belief, ego, three_lanes, W, max_expansions=20, K=8, seed=5)
         assert a.root_action == b.root_action
         assert a.most_likely_sequence == b.most_likely_sequence
         assert a.root_lower == b.root_lower
@@ -260,12 +262,12 @@ class TestBehavior:
         ego = ego_at(net, 30.0, 0.0, 10.0)
         wall = exo(net, 1, 60.0, 0.0, 0.0, v0=2.0)
         sc = [Scenario(ego=ego, exos=[ExoAgent(1, wall.state, LF, wall.style, 1)], noise_seed=i) for i in range(5)]
-        tree = plan(None, ego, net, W, Budget(60), horizon_s=9.0, scenarios=sc)
+        tree = plan(None, ego, net, W, max_expansions=60, horizon_s=9.0, scenarios=sc)
         assert tree.root_action.kind == IntentionKind.LC_L
         check_bounds(tree.root)
 
     def test_stays_when_on_goal_lane_and_clear(self, three_lanes):
         ego = ego_at(three_lanes, 30.0, 0.0, 10.0)
         sc = [Scenario(ego=ego, exos=[], noise_seed=i) for i in range(3)]
-        tree = plan(None, ego, three_lanes, W, Budget(40), horizon_s=9.0, scenarios=sc)
+        tree = plan(None, ego, three_lanes, W, max_expansions=40, horizon_s=9.0, scenarios=sc)
         assert tree.root_action.kind == IntentionKind.LF

@@ -9,7 +9,7 @@ from conftest import parallel_network
 from driveplan.driver import LF, Intention, IntentionKind, StyleParam, make_state
 from driveplan.inference import FilterConfig, init_belief, sample_scenarios
 from driveplan.observation import AgentObs, Observation
-from driveplan.planner import Budget, plan
+from driveplan.planner import plan
 from driveplan.pomdp import (
     ExoAgent,
     IntentionKind,
@@ -246,7 +246,7 @@ class TestConsistencyBridge:
             Scenario(ego=ego, exos=[ExoAgent(1, far, LF, StyleParam(v0=8.0), 1)], noise_seed=i)
             for i in range(4)
         ]
-        tree = plan(None, ego, net, W, Budget(40), horizon_s=9.0, scenarios=scs)
+        tree = plan(None, ego, net, W, max_expansions=40, horizon_s=9.0, scenarios=scs)
         cands = generate_candidates(scs, [tree.root_action], net, W)
         nominal = [c for c in cands if c.speed_scale == 1.0]
         assert len(nominal) == 1
